@@ -204,6 +204,10 @@ func Run(ctx context.Context, cfg Config) (*Report, error) {
 		verifyClient = &http.Client{Timeout: cfg.Timeout, Transport: newTransport()}
 	}
 
+	// runCtx bounds admission only. A request admitted before the
+	// deadline runs to completion on ctx under cfg.Timeout: cancelling it
+	// at the deadline would count the harness's own abort as a transport
+	// error against the daemon.
 	runCtx := ctx
 	var cancel context.CancelFunc
 	if cfg.Requests == 0 {
@@ -261,9 +265,14 @@ func Run(ctx context.Context, cfg Config) (*Report, error) {
 		go func() {
 			defer wg.Done()
 			for j := range jobs {
+				if runCtx.Err() != nil {
+					// Queued before the deadline, dequeued after it: the
+					// run is over, so the job is dropped uncounted.
+					continue
+				}
 				body := bodies[j.key]
 				t0 := time.Now()
-				status, tier, injected, respBody, err := post(runCtx, client, cfg.Targets[j.target], path, body)
+				status, tier, injected, respBody, err := post(ctx, client, cfg.Targets[j.target], path, body)
 				st.latencies = append(st.latencies, time.Since(t0))
 				st.sent++
 				if err != nil {
@@ -293,7 +302,7 @@ func Run(ctx context.Context, cfg Config) (*Report, error) {
 					st.tiers[tier]++
 				}
 				if cfg.VerifyTarget != "" {
-					_, _, _, refBody, err := post(runCtx, verifyClient, cfg.VerifyTarget, path, body)
+					_, _, _, refBody, err := post(ctx, verifyClient, cfg.VerifyTarget, path, body)
 					if err != nil || !bytes.Equal(respBody, refBody) {
 						st.mismatches++
 					}

@@ -157,6 +157,35 @@ func TestRunCountsErrors(t *testing.T) {
 	}
 }
 
+// TestRunDurationEndCancelsNothing pins the run-end contract of a
+// duration-bounded run: admission stops at the deadline, but requests
+// already in flight finish, so a slow but healthy target is never
+// charged with the harness's own cancellations.
+func TestRunDurationEndCancelsNothing(t *testing.T) {
+	ts := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		io.Copy(io.Discard, r.Body)
+		time.Sleep(20 * time.Millisecond)
+		w.Write([]byte("ok"))
+	}))
+	defer ts.Close()
+	rep, err := Run(context.Background(), Config{
+		Targets:  []string{ts.URL},
+		Workers:  4,
+		Duration: 150 * time.Millisecond,
+		Keys:     4,
+		Stages:   4, Processors: 3,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if rep.Errors != 0 || rep.Sent == 0 {
+		t.Fatalf("sent %d, errors %d (statuses %v), want zero errors", rep.Sent, rep.Errors, rep.Statuses)
+	}
+	if rep.Statuses["200"] != rep.Sent || len(rep.Statuses) != 1 {
+		t.Fatalf("statuses %v for %d sent, want every request a 200", rep.Statuses, rep.Sent)
+	}
+}
+
 func TestRunDetectsVerifyMismatch(t *testing.T) {
 	serve := func(body string) *httptest.Server {
 		return httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {

@@ -1,12 +1,15 @@
 package service
 
 // Allocation-regression caps for the serving hot path. The cache-hit
-// serve is the high-QPS steady state — decode into pooled wire scratch,
-// pooled canonical hash, sharded-cache lookup, one Write — and its
-// budget pins the PR-5 rebuild: the naive pre-rework path measured 80
-// allocs per hit, the pooled path 16. The caps leave a little headroom
-// for Go-version drift in encoding/json without letting the old
-// per-request costs (fresh hashers, constructed platforms, Welford
+// serve is the high-QPS steady state — body read into a pooled buffer,
+// single-pass scan into pooled wire scratch, pooled canonical hash,
+// sharded-cache lookup, one Write — and its budget pins two rebuilds:
+// the naive pre-rework path measured 80 allocs per hit and the pooled
+// encoding/json path 16; the scanner that replaced encoding/json on
+// canonical bodies measures 2 (the MaxBytesReader and the
+// Content-Length value). The cap leaves a little headroom for Go-version
+// drift in net/http without letting reflection-driven decoding or the
+// old per-request costs (fresh hashers, constructed platforms, Welford
 // mutexes) creep back in.
 
 import (
@@ -25,7 +28,7 @@ func testWorkload() workload.Instance {
 
 const (
 	// serveHitAllocCap bounds allocations for one cache-hit /v1/solve.
-	serveHitAllocCap = 24
+	serveHitAllocCap = 4
 	// errorRenderAllocCap bounds the pooled error-body render itself.
 	errorRenderAllocCap = 4
 )
@@ -49,6 +52,28 @@ func TestServeSolveHitAllocs(t *testing.T) {
 	run() // warm the pools
 	if got := testing.AllocsPerRun(200, run); got > serveHitAllocCap {
 		t.Errorf("cache-hit solve: %.1f allocs/run, cap %d", got, serveHitAllocCap)
+	}
+
+	// The same cap holds for hits cycling over paper-grid bodies of
+	// every size, once the pooled buffers have grown to the largest.
+	grid := paperGridBodies(t)
+	for _, raw := range grid {
+		if st := serveOnce(s, w, req, body, raw); st != http.StatusOK {
+			t.Fatalf("prime status %d", st)
+		}
+	}
+	i := 0
+	runGrid := func() {
+		if st := serveOnce(s, w, req, body, grid[i%len(grid)]); st != http.StatusOK {
+			t.Fatalf("status %d", st)
+		}
+		i++
+	}
+	for range grid {
+		runGrid()
+	}
+	if got := testing.AllocsPerRun(4*len(grid), runGrid); got > serveHitAllocCap {
+		t.Errorf("cache-hit solve over the paper grid: %.1f allocs/run, cap %d", got, serveHitAllocCap)
 	}
 }
 

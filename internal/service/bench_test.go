@@ -12,6 +12,7 @@ package service
 //	go test -run '^$' -bench BenchmarkServe -benchmem -cpu 1,4,8 ./internal/service
 import (
 	"bytes"
+	"encoding/json"
 	"fmt"
 	"net/http"
 	"net/http/httptest"
@@ -109,6 +110,44 @@ func fullHetBodyJSON(b *testing.B, bound float64) []byte {
 	return fmt.Appendf(nil, `{"pipeline":%s,"platform":%s,"bound":%g}`, app, pj, bound)
 }
 
+// paperGrid returns one seeded instance per cell of the paper's
+// simulation grid: families E1–E4 × n ∈ {5, 10, 20, 40} × p ∈ {10, 100}.
+func paperGrid() []workload.Instance {
+	var out []workload.Instance
+	for _, f := range workload.Families() {
+		for _, n := range workload.PaperStages() {
+			for _, p := range workload.PaperProcessors() {
+				out = append(out, workload.Generate(workload.Config{Family: f, Stages: n, Processors: p, Seed: int64(7*n + p)}))
+			}
+		}
+	}
+	return out
+}
+
+// paperGridBodies renders one /v1/solve body per paper-grid instance and
+// objective, as json.Marshal spells them. The bounds are loose enough
+// for every instance to be feasible, and non-round, so they cost the
+// decoder what real bounds cost.
+func paperGridBodies(tb testing.TB) [][]byte {
+	tb.Helper()
+	var out [][]byte
+	for i, in := range paperGrid() {
+		for _, obj := range []string{"min-latency", "min-period"} {
+			body, err := json.Marshal(map[string]any{
+				"pipeline":  in.App,
+				"platform":  in.Plat,
+				"objective": obj,
+				"bound":     1e6 + float64(i)/7,
+			})
+			if err != nil {
+				tb.Fatal(err)
+			}
+			out = append(out, body)
+		}
+	}
+	return out
+}
+
 func BenchmarkServeSolve(b *testing.B) {
 	b.Run("hit", func(b *testing.B) {
 		s := New(Options{})
@@ -122,6 +161,30 @@ func BenchmarkServeSolve(b *testing.B) {
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
 			if st := serveOnce(s, w, req, body, raw); st != http.StatusOK {
+				b.Fatalf("status %d", st)
+			}
+		}
+	})
+
+	b.Run("hit-grid", func(b *testing.B) {
+		// Hits cycling over the paper grid (p ∈ {10, 100}): bodies of
+		// the size real traffic sends, where decode dominates a hit.
+		s := New(Options{})
+		raws := paperGridBodies(b)
+		req := httptest.NewRequest("POST", "/v1/solve", nil)
+		w, body := newBenchWriter(), &benchBody{}
+		size := 0
+		for _, raw := range raws { // prime the cache
+			if st := serveOnce(s, w, req, body, raw); st != http.StatusOK {
+				b.Fatalf("prime status %d", st)
+			}
+			size += len(raw)
+		}
+		b.ReportAllocs()
+		b.SetBytes(int64(size / len(raws)))
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			if st := serveOnce(s, w, req, body, raws[i%len(raws)]); st != http.StatusOK {
 				b.Fatalf("status %d", st)
 			}
 		}

@@ -59,6 +59,7 @@ package service
 // misroutes.
 
 import (
+	"bytes"
 	"context"
 	"errors"
 	"hash/fnv"
@@ -334,7 +335,10 @@ func (p *peerRouter) route(w http.ResponseWriter, r *http.Request, key cache.Key
 	for i, o := range candidates {
 		urls[i] = ep.topo.Peer(o)
 	}
-	res, err := ep.client.ForwardHedged(r.Context(), candidates, urls, path, raw, p.hedgeAfter)
+	// raw aliases the request's pooled body buffer, and a losing hedge
+	// attempt may still be sending it after this handler has returned:
+	// the forward gets its own copy.
+	res, err := ep.client.ForwardHedged(r.Context(), candidates, urls, path, bytes.Clone(raw), p.hedgeAfter)
 	if err != nil || res.Status != http.StatusOK {
 		// Transport failures marked the replicas down inside the client;
 		// a non-200 from a live replica (e.g. its own 504 under load)

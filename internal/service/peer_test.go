@@ -3,9 +3,11 @@ package service
 import (
 	"bytes"
 	"context"
+	"io"
 	"net"
 	"net/http"
 	"net/http/httptest"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -289,5 +291,99 @@ func TestSingleNodeHasNoClusterSurface(t *testing.T) {
 	}
 	if n, err := s.WarmFromPeers(context.Background()); n != 0 || err != nil {
 		t.Fatalf("single-node WarmFromPeers = (%d, %v), want (0, nil)", n, err)
+	}
+}
+
+// lateBodyTransport stands in for a replica whose transport reads the
+// request body late, as http.RoundTripper allows: a round trip to host
+// blocks until its request is cancelled, then until release closes, and
+// only then reads the body. It records any body whose bytes changed in
+// between; a round trip to any other host goes straight to base.
+type lateBodyTransport struct {
+	host    string
+	base    http.RoundTripper
+	release chan struct{}
+	wg      sync.WaitGroup
+	mu      sync.Mutex
+	late    int
+	changed []string
+}
+
+func (lt *lateBodyTransport) RoundTrip(req *http.Request) (*http.Response, error) {
+	if req.URL.Host != lt.host {
+		return lt.base.RoundTrip(req)
+	}
+	lt.wg.Add(1)
+	defer lt.wg.Done()
+	defer req.Body.Close()
+	snap, err := req.GetBody()
+	if err != nil {
+		return nil, err
+	}
+	sent, _ := io.ReadAll(snap)
+	<-req.Context().Done()
+	<-lt.release
+	got, _ := io.ReadAll(req.Body)
+	lt.mu.Lock()
+	lt.late++
+	if !bytes.Equal(got, sent) {
+		lt.changed = append(lt.changed, string(got))
+	}
+	lt.mu.Unlock()
+	return nil, req.Context().Err()
+}
+
+// TestPeerHedgeLoserOwnsItsBody pins the forward path's ownership of the
+// request bytes. The body is read into a pooled buffer that the next
+// request reuses as soon as the handler returns, but a hedged forward
+// does not wait for its losing attempt, whose transport may read the
+// body later. The forward must therefore send a copy: here the first
+// replica's transport reads only after later requests have reused the
+// pooled buffer, and it must still read the bytes the client sent.
+func TestPeerHedgeLoserOwnsItsBody(t *testing.T) {
+	fast := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		io.Copy(io.Discard, r.Body)
+		w.Header().Set("X-Cache", "hit")
+		w.Write([]byte(`{"replica":true}`))
+	}))
+	t.Cleanup(fast.Close)
+	slow := deadPeerURL(t) // never dialled: its round trips are lateBodyTransport's
+	lt := &lateBodyTransport{host: strings.TrimPrefix(slow, "http://"), base: http.DefaultTransport, release: make(chan struct{})}
+	ts := httptest.NewUnstartedServer(nil)
+	self := "http://" + ts.Listener.Addr().String()
+	topo, err := cluster.NewTopology([]string{self, slow, fast.URL}, self)
+	if err != nil {
+		t.Fatal(err)
+	}
+	s := New(Options{Cluster: &ClusterConfig{
+		Topology:       topo,
+		Replicas:       2,
+		ForwardTimeout: 5 * time.Second,
+		HedgeAfter:     time.Millisecond,
+		PeerBackoff:    time.Minute,
+		Transport:      lt,
+	}})
+	ts.Config.Handler = s
+	ts.Start()
+	t.Cleanup(ts.Close)
+
+	hedged := 0
+	for seed := int64(900); seed < 1100 && hedged < 8; seed++ {
+		in := workload.Generate(workload.Config{Family: workload.E1, Stages: 6, Processors: 4, Seed: seed})
+		resp, got := post(t, ts, "/v1/solve", solveBody(t, in, map[string]any{"bound": 1e6}))
+		if resp.StatusCode != http.StatusOK {
+			t.Fatalf("status %d: %s", resp.StatusCode, got)
+		}
+		if resp.Header.Get("X-Cache") == "hedged-hit" {
+			hedged++
+		}
+	}
+	close(lt.release)
+	lt.wg.Wait()
+	if hedged == 0 || lt.late == 0 {
+		t.Fatalf("%d hedged answers, %d late reads: the test did not exercise a losing attempt", hedged, lt.late)
+	}
+	if len(lt.changed) > 0 {
+		t.Fatalf("%d of %d losing attempts read a body overwritten by a later request, e.g. %.80q", len(lt.changed), lt.late, lt.changed[0])
 	}
 }

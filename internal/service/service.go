@@ -27,16 +27,19 @@
 // Every cacheable request is canonically hashed (see canon.go) into a
 // sharded, bounded LRU with singleflight deduplication: concurrent
 // identical requests collapse to one solve, repeated ones are served from
-// memory. The hot path is built for high QPS: requests decode into pooled
-// wire scratch, keys come from pooled hashers, the cache shards by key
-// bits so cores do not serialise on one mutex, metrics record through
-// lock-free atomics, and responses are cached as fully rendered bytes —
-// a hit is one Write and a handful of allocations. The X-Cache response
-// header reports hit, miss or collapsed.
+// memory. The hot path is built for high QPS: a body is read once into a
+// pooled buffer and scanned in a single pass into pooled wire scratch
+// (wire.go) — a strict hand-written decoder for the canonical spelling
+// json.Marshal produces, with strict encoding/json as the fallback for
+// every other body, so no reflection runs on a canonical hit. Keys come
+// from pooled hashers, the cache shards by key bits so cores do not
+// serialise on one mutex, metrics record through lock-free atomics, and
+// responses are cached as fully rendered bytes — a hit is one Write and
+// two allocations. The X-Cache response header reports hit, miss or
+// collapsed.
 package service
 
 import (
-	"bytes"
 	"context"
 	"encoding/json"
 	"errors"
@@ -46,6 +49,7 @@ import (
 	"math"
 	"net"
 	"net/http"
+	"slices"
 	"strings"
 	"time"
 
@@ -151,6 +155,9 @@ type Server struct {
 	// before the underlying solve. Tests use it to hold requests in
 	// flight deterministically.
 	solveHook func()
+	// jsonOnly sends every body through the encoding/json fallback. Tests
+	// set it to serve the reference side of FuzzWireDecode.
+	jsonOnly bool
 }
 
 // New builds a Server from opts.
@@ -407,44 +414,42 @@ func (s *Server) instrument(name string, h func(*Server, *scratch, http.Response
 		start := time.Now()
 		h(s, sc, &sc.rec, r)
 		failed := sc.rec.status >= 400
-		sc.rec.ResponseWriter = nil // no stale writer retained in the pool
-		scratchPool.Put(sc)
+		sc.release()
 		em.observe(time.Since(start), failed)
 	}
 }
 
-// decodeJSON strictly decodes the request body into v: unknown top-level
-// fields and trailing data are rejected, exactly as before the wire
-// rework (sub-objects decoded from RawMessage stay lenient, matching the
-// former custom-unmarshaler behaviour).
-//
-// In single-node mode the body is decoded streaming and the returned raw
-// slice is nil — the hot path is unchanged. In peer mode the body is
-// read fully first and returned verbatim, because a non-owner may need
-// the exact original bytes to proxy to the key's owner.
-func (s *Server) decodeJSON(w http.ResponseWriter, r *http.Request, v any) ([]byte, error) {
-	limited := http.MaxBytesReader(w, r.Body, s.opts.maxBody())
-	var (
-		dec *json.Decoder
-		raw []byte
-	)
-	if s.peers != nil {
-		var err error
-		if raw, err = io.ReadAll(limited); err != nil {
+// decodeBody reads the request body once, bounded by MaxBodyBytes, into
+// the scratch's pooled buffer and decodes it into v (wireScanner.decode):
+// unknown fields and trailing data are rejected. The returned bytes are
+// the body verbatim — a non-owner in peer mode proxies them to the key's
+// owner — and alias the pooled buffer, so they are valid only until the
+// handler returns.
+func (s *Server) decodeBody(sc *scratch, w http.ResponseWriter, r *http.Request, v wireBody) ([]byte, error) {
+	limit := s.opts.maxBody()
+	limited := http.MaxBytesReader(w, r.Body, limit)
+	buf := sc.body[:0]
+	if n := r.ContentLength; n > 0 && n < limit && int(n) >= cap(buf) {
+		// One spare byte lets the final Read report EOF without growing.
+		buf = make([]byte, 0, n+1)
+	}
+	for {
+		if len(buf) == cap(buf) {
+			buf = slices.Grow(buf, 512)
+		}
+		n, err := limited.Read(buf[len(buf):cap(buf)])
+		buf = buf[:len(buf)+n]
+		if err == io.EOF {
+			break
+		}
+		if err != nil {
+			sc.body = buf
 			return nil, badRequest("invalid request body: %v", err)
 		}
-		dec = json.NewDecoder(bytes.NewReader(raw))
-	} else {
-		dec = json.NewDecoder(limited)
 	}
-	dec.DisallowUnknownFields()
-	if err := dec.Decode(v); err != nil {
-		return nil, badRequest("invalid request body: %v", err)
-	}
-	if dec.More() {
-		return nil, badRequest("invalid request body: trailing data after the JSON object")
-	}
-	return raw, nil
+	sc.body = buf
+	sc.scan = wireScanner{b: buf}
+	return buf, sc.scan.decode(v, !s.jsonOnly)
 }
 
 // writeJSON renders a 200 with v as JSON (non-hot paths: health, metrics).
@@ -632,8 +637,7 @@ func buildBatchInstances(wires []instanceWire) ([]workload.Instance, error) {
 
 func (s *Server) handleSolve(sc *scratch, w http.ResponseWriter, r *http.Request) {
 	req := &sc.solve
-	req.reset()
-	raw, err := s.decodeJSON(w, r, req)
+	raw, err := s.decodeBody(sc, w, r, req)
 	if err != nil {
 		s.writeError(w, r, err)
 		return
@@ -796,8 +800,7 @@ func (s *Server) handleBatch(sc *scratch, w http.ResponseWriter, r *http.Request
 	// would add a hop for no expected hit, and the batch engine already
 	// spreads the work across this node's cores.
 	req := &sc.batch
-	req.reset()
-	if _, err := s.decodeJSON(w, r, req); err != nil {
+	if _, err := s.decodeBody(sc, w, r, req); err != nil {
 		s.writeError(w, r, err)
 		return
 	}
@@ -895,8 +898,7 @@ func (s *Server) handleBatch(sc *scratch, w http.ResponseWriter, r *http.Request
 
 func (s *Server) handleSweep(sc *scratch, w http.ResponseWriter, r *http.Request) {
 	req := &sc.sweep
-	req.reset()
-	raw, err := s.decodeJSON(w, r, req)
+	raw, err := s.decodeBody(sc, w, r, req)
 	if err != nil {
 		s.writeError(w, r, err)
 		return

@@ -1,6 +1,7 @@
 package service
 
-// Pooled request/response scratch for the serving hot path.
+// Pooled request/response scratch for the serving hot path, and the
+// strict single-pass decoder that fills it.
 //
 // Requests are decoded into reusable wire structs — raw works/deltas/
 // speeds slices whose backing arrays survive between requests — instead
@@ -9,11 +10,25 @@ package service
 // orders, class tables) run on cache misses only, where a solve is about
 // to dwarf them anyway. Responses render through pooled buffers; cached
 // bodies carry their trailing newline so a hit is exactly one Write.
+//
+// A body is read once into a pooled buffer, then scanned in one pass
+// straight into its wire struct (wireScanner). The scanner accepts only
+// the canonical spelling that json.Marshal and every in-repo client
+// produce: plain lowercase keys, strings of printable ASCII without
+// escapes, no null, no duplicate keys, and nothing but whitespace after
+// the object. Numbers follow the JSON grammar and parse through
+// strconv.ParseFloat(…, 64), exactly as encoding/json parses them, so
+// float bits, cache keys and answers do not depend on the path taken.
+// Any other body — a rare but legal spelling or a malformed one — is
+// decoded again from scratch by strict encoding/json, which accepts
+// exactly what it always accepted and words every 400 as before.
+// FuzzWireDecode pins the two paths to each other.
 
 import (
 	"bytes"
 	"encoding/json"
 	"net/http"
+	"strconv"
 	"sync"
 	"unicode/utf8"
 )
@@ -72,9 +87,9 @@ type instanceWire struct {
 }
 
 // batchWire is the top-level body of POST /v1/batch, decoded into pooled
-// scratch like solveWire. encoding/json reuses both the instance slice
-// and every nested number slice when capacity allows, so a warm decode
-// of a batch allocates for none of the instance payloads — on the primed
+// scratch like solveWire. Both decode paths reuse the instance slice and
+// every nested number slice when capacity allows, so a warm decode of a
+// batch allocates for none of the instance payloads — on the primed
 // hot path the handler goes body → key → cached bytes without
 // materialising a single pipeline or platform object. reset truncates
 // every nested slice so a field absent from this request can never leak
@@ -123,16 +138,446 @@ func (sw *sweepWire) reset() {
 func (pw *pipelineWire) missing() bool { return len(pw.Works) == 0 }
 func (pw *platformWire) missing() bool { return len(pw.Speeds) == 0 }
 
-// scratch is one request's reusable state: the response-status recorder
-// and the top-level wire bodies.
+// scratch is one request's reusable state: the response-status recorder,
+// the raw body buffer, the scanner over it (held here so that it does not
+// escape to the heap per request) and the top-level wire bodies.
 type scratch struct {
 	rec   statusRecorder
+	body  []byte
+	scan  wireScanner
 	solve solveWire
 	sweep sweepWire
 	batch batchWire
 }
 
+// maxPooledBody is the largest body buffer a scratch may carry back into
+// the pool. A scratch that read a bigger body is dropped whole, with the
+// wire slices that body filled, so one large request cannot pin memory
+// for the life of the process.
+const maxPooledBody = 64 << 10
+
 var scratchPool = sync.Pool{New: func() any { return &scratch{} }}
+
+// release returns sc to the pool unless its last body was oversized.
+func (sc *scratch) release() {
+	sc.rec.ResponseWriter = nil // no stale writer retained in the pool
+	if cap(sc.body) > maxPooledBody {
+		return
+	}
+	scratchPool.Put(sc)
+}
+
+// ------------------------------------------------------------ decoding --
+
+// errTrailingData is the 400 for anything but whitespace after the
+// body's object, on either decode path.
+var errTrailingData = badRequest("invalid request body: trailing data after the JSON object")
+
+// wireBody is a top-level request body: *solveWire, *sweepWire or
+// *batchWire.
+type wireBody interface {
+	wireObject
+	reset()
+}
+
+// wireObject is a JSON object the scanner can fill: field scans the
+// value of one member and returns that member's bit in its object, or 0
+// when the key or the value is outside the canonical subset.
+type wireObject interface {
+	field(s *wireScanner, key []byte) uint32
+}
+
+// wireScanner is a cursor over one complete request body.
+type wireScanner struct {
+	b []byte
+	i int
+}
+
+// decode fills v from the whole body. With scan set the single-pass
+// scanner is tried first; a body it declines is decoded by strict
+// encoding/json into a freshly reset v: unknown fields (at any depth)
+// and trailing data are rejected.
+func (s *wireScanner) decode(v wireBody, scan bool) error {
+	v.reset()
+	if scan {
+		if s.object(v) && s.end() {
+			return nil
+		}
+		v.reset()
+	}
+	dec := json.NewDecoder(bytes.NewReader(s.b))
+	dec.DisallowUnknownFields()
+	if err := dec.Decode(v); err != nil {
+		return badRequest("invalid request body: %v", err)
+	}
+	if s.i = int(dec.InputOffset()); !s.end() {
+		return errTrailingData
+	}
+	return nil
+}
+
+// space skips JSON whitespace.
+func (s *wireScanner) space() {
+	for s.i < len(s.b) {
+		switch s.b[s.i] {
+		case ' ', '\t', '\n', '\r':
+			s.i++
+		default:
+			return
+		}
+	}
+}
+
+// end reports whether only whitespace is left.
+func (s *wireScanner) end() bool {
+	s.space()
+	return s.i == len(s.b)
+}
+
+// eat skips whitespace and consumes c if it comes next.
+func (s *wireScanner) eat(c byte) bool {
+	s.space()
+	if s.i < len(s.b) && s.b[s.i] == c {
+		s.i++
+		return true
+	}
+	return false
+}
+
+// object scans one object, handing every member to o.field. A repeated
+// key declines the body, so the scanner never has to reproduce
+// encoding/json's last-one-wins and sub-object merge rules.
+func (s *wireScanner) object(o wireObject) bool {
+	if !s.eat('{') {
+		return false
+	}
+	if s.eat('}') {
+		return true
+	}
+	var seen uint32
+	for {
+		key, ok := s.plainString()
+		if !ok || !s.eat(':') {
+			return false
+		}
+		bit := o.field(s, key)
+		if bit == 0 || seen&bit != 0 {
+			return false
+		}
+		seen |= bit
+		if !s.eat(',') {
+			return s.eat('}')
+		}
+	}
+}
+
+// plainString scans a string of printable ASCII without escapes and
+// returns its contents, aliasing the body.
+func (s *wireScanner) plainString() ([]byte, bool) {
+	if !s.eat('"') {
+		return nil, false
+	}
+	start := s.i
+	for ; s.i < len(s.b); s.i++ {
+		switch c := s.b[s.i]; {
+		case c == '"':
+			s.i++
+			return s.b[start : s.i-1], true
+		case c < 0x20, c == '\\', c >= utf8.RuneSelf:
+			return nil, false
+		}
+	}
+	return nil, false
+}
+
+// wireWords are the string values the API defines. Returning the constant
+// instead of converting the body bytes keeps a canonical request from
+// allocating for its kind, objective or mode.
+var wireWords = [...]string{
+	"comm-homogeneous", "fully-heterogeneous", "min-latency", "min-period",
+	"portfolio", "best", "exact", "H1", "H2", "H3", "H4", "H5", "H6", "F1", "F5", "F6",
+}
+
+// str scans a string value.
+func (s *wireScanner) str() (string, bool) {
+	b, ok := s.plainString()
+	if !ok {
+		return "", false
+	}
+	for _, w := range wireWords {
+		if string(b) == w {
+			return w, true
+		}
+	}
+	return string(b), true
+}
+
+// number scans one JSON number and returns its text.
+func (s *wireScanner) number() ([]byte, bool) {
+	s.space()
+	start := s.i
+	if s.i < len(s.b) && s.b[s.i] == '-' {
+		s.i++
+	}
+	switch {
+	case s.i < len(s.b) && s.b[s.i] == '0':
+		s.i++
+	case !s.digits():
+		return nil, false
+	}
+	if s.i < len(s.b) && s.b[s.i] == '.' {
+		s.i++
+		if !s.digits() {
+			return nil, false
+		}
+	}
+	if s.i < len(s.b) && (s.b[s.i] == 'e' || s.b[s.i] == 'E') {
+		s.i++
+		if s.i < len(s.b) && (s.b[s.i] == '+' || s.b[s.i] == '-') {
+			s.i++
+		}
+		if !s.digits() {
+			return nil, false
+		}
+	}
+	return s.b[start:s.i], true
+}
+
+// digits scans one or more decimal digits.
+func (s *wireScanner) digits() bool {
+	start := s.i
+	for s.i < len(s.b) && '0' <= s.b[s.i] && s.b[s.i] <= '9' {
+		s.i++
+	}
+	return s.i > start
+}
+
+// float scans a number into a float64 the way encoding/json does; a
+// value out of float64 range declines the body.
+func (s *wireScanner) float() (float64, bool) {
+	t, ok := s.number()
+	if !ok {
+		return 0, false
+	}
+	f, err := strconv.ParseFloat(string(t), 64)
+	return f, err == nil
+}
+
+// integer scans a number into an int. A fraction, an exponent or an
+// overflow declines the body (ParseInt rejects all three, as
+// encoding/json does for an int field), and the fallback words that 400.
+func (s *wireScanner) integer() (int, bool) {
+	t, ok := s.number()
+	if !ok {
+		return 0, false
+	}
+	n, err := strconv.ParseInt(string(t), 10, 0)
+	return int(n), err == nil
+}
+
+// boolean scans true or false.
+func (s *wireScanner) boolean() (bool, bool) {
+	s.space()
+	switch rest := s.b[s.i:]; {
+	case bytes.HasPrefix(rest, []byte("true")):
+		s.i += 4
+		return true, true
+	case bytes.HasPrefix(rest, []byte("false")):
+		s.i += 5
+		return false, true
+	}
+	return false, false
+}
+
+// floats scans an array of numbers into dst's backing array. The
+// returned slice is kept even on failure, so its capacity stays pooled.
+func (s *wireScanner) floats(dst []float64) ([]float64, bool) {
+	dst = dst[:0]
+	if !s.eat('[') {
+		return dst, false
+	}
+	if s.eat(']') {
+		return dst, true
+	}
+	for {
+		f, ok := s.float()
+		if !ok {
+			return dst, false
+		}
+		dst = append(dst, f)
+		if !s.eat(',') {
+			return dst, s.eat(']')
+		}
+	}
+}
+
+// matrix scans an array of number arrays (a links matrix, ragged or
+// not), reusing every row's backing array.
+func (s *wireScanner) matrix(dst [][]float64) ([][]float64, bool) {
+	dst = dst[:0]
+	if !s.eat('[') {
+		return dst, false
+	}
+	if s.eat(']') {
+		return dst, true
+	}
+	for {
+		var row []float64
+		if n := len(dst); n < cap(dst) {
+			row = dst[:n+1][n]
+		}
+		row, ok := s.floats(row)
+		dst = append(dst, row)
+		if !ok {
+			return dst, false
+		}
+		if !s.eat(',') {
+			return dst, s.eat(']')
+		}
+	}
+}
+
+// instances scans an array of batch instances. Elements past len are
+// reused in place: reset has already cleared them.
+func (s *wireScanner) instances(dst []instanceWire) ([]instanceWire, bool) {
+	dst = dst[:0]
+	if !s.eat('[') {
+		return dst, false
+	}
+	if s.eat(']') {
+		return dst, true
+	}
+	for {
+		n := len(dst)
+		if n < cap(dst) {
+			dst = dst[:n+1]
+		} else {
+			dst = append(dst, instanceWire{})
+		}
+		if !s.object(&dst[n]) {
+			return dst, false
+		}
+		if !s.eat(',') {
+			return dst, s.eat(']')
+		}
+	}
+}
+
+// fieldBit is the member bit n of an object when its value scanned.
+func fieldBit(n uint, ok bool) uint32 {
+	if !ok {
+		return 0
+	}
+	return 1 << n
+}
+
+func (pw *pipelineWire) field(s *wireScanner, key []byte) uint32 {
+	var ok bool
+	switch string(key) {
+	case "works":
+		pw.Works, ok = s.floats(pw.Works)
+		return fieldBit(0, ok)
+	case "deltas":
+		pw.Deltas, ok = s.floats(pw.Deltas)
+		return fieldBit(1, ok)
+	}
+	return 0
+}
+
+func (pw *platformWire) field(s *wireScanner, key []byte) uint32 {
+	var ok bool
+	switch string(key) {
+	case "kind":
+		pw.Kind, ok = s.str()
+		return fieldBit(0, ok)
+	case "speeds":
+		pw.Speeds, ok = s.floats(pw.Speeds)
+		return fieldBit(1, ok)
+	case "bandwidth":
+		pw.Bandwidth, ok = s.float()
+		return fieldBit(2, ok)
+	case "links":
+		pw.Links, ok = s.matrix(pw.Links)
+		return fieldBit(3, ok)
+	}
+	return 0
+}
+
+// instanceField scans the pipeline and platform members every body
+// kind shares; they take bits 0 and 1 of their object.
+func instanceField(s *wireScanner, key []byte, pl *pipelineWire, pf *platformWire) uint32 {
+	switch string(key) {
+	case "pipeline":
+		return fieldBit(0, s.object(pl))
+	case "platform":
+		return fieldBit(1, s.object(pf))
+	}
+	return 0
+}
+
+func (iw *instanceWire) field(s *wireScanner, key []byte) uint32 {
+	return instanceField(s, key, &iw.Pipeline, &iw.Platform)
+}
+
+func (sw *solveWire) field(s *wireScanner, key []byte) uint32 {
+	var ok bool
+	switch string(key) {
+	case "objective":
+		sw.Objective, ok = s.str()
+		return fieldBit(2, ok)
+	case "bound":
+		sw.Bound, ok = s.float()
+		return fieldBit(3, ok)
+	case "mode":
+		sw.Mode, ok = s.str()
+		return fieldBit(4, ok)
+	case "timeout_ms":
+		sw.TimeoutMS, ok = s.integer()
+		return fieldBit(5, ok)
+	}
+	return instanceField(s, key, &sw.Pipeline, &sw.Platform)
+}
+
+func (sw *sweepWire) field(s *wireScanner, key []byte) uint32 {
+	var ok bool
+	switch string(key) {
+	case "points":
+		sw.Points, ok = s.integer()
+		return fieldBit(2, ok)
+	case "timeout_ms":
+		sw.TimeoutMS, ok = s.integer()
+		return fieldBit(3, ok)
+	}
+	return instanceField(s, key, &sw.Pipeline, &sw.Platform)
+}
+
+func (bw *batchWire) field(s *wireScanner, key []byte) uint32 {
+	var ok bool
+	switch string(key) {
+	case "instances":
+		bw.Instances, ok = s.instances(bw.Instances)
+		return fieldBit(0, ok)
+	case "objective":
+		bw.Objective, ok = s.str()
+		return fieldBit(1, ok)
+	case "bound":
+		bw.Bound, ok = s.float()
+		return fieldBit(2, ok)
+	case "relative_bound":
+		bw.RelativeBound, ok = s.boolean()
+		return fieldBit(3, ok)
+	case "exact":
+		bw.Exact, ok = s.boolean()
+		return fieldBit(4, ok)
+	case "workers":
+		bw.Workers, ok = s.integer()
+		return fieldBit(5, ok)
+	case "timeout_ms":
+		bw.TimeoutMS, ok = s.integer()
+		return fieldBit(6, ok)
+	}
+	return 0
+}
 
 // bufPool holds render buffers for response bodies. Buffers are leased
 // for one encode and released immediately, so the pool's steady-state

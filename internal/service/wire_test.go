@@ -276,27 +276,65 @@ func TestMetricsConservation(t *testing.T) {
 
 // TestStrictTopLevelDecodeStillEnforced pins the strictness contract
 // after the wire rework: unknown top-level fields and trailing data are
-// rejected on every wire-decoded endpoint.
+// rejected on every wire-decoded endpoint. Trailing closers are
+// rejected too, on the scanner path and on the encoding/json fallback
+// (reached here through a "timeout_ms":null member, which only the
+// fallback accepts).
 func TestStrictTopLevelDecodeStillEnforced(t *testing.T) {
 	_, ts := newTestServer(t, Options{})
 	in := testInstance(t)
-	for _, tc := range []struct {
+	type testCase struct {
 		name, path string
 		body       []byte
-	}{
-		{"solve-unknown", "/v1/solve", solveBody(t, in, map[string]any{"bound": 1.0, "bogus": 1})},
-		{"sweep-unknown", "/v1/sweep", solveBody(t, in, map[string]any{"bogus": 1})},
-		{"batch-unknown", "/v1/batch", []byte(`{"instances":[],"bound":1,"bogus":1}`)},
-	} {
+		want       string // substring of the 400 body
+	}
+	cases := []testCase{
+		{"solve-unknown", "/v1/solve", solveBody(t, in, map[string]any{"bound": 1.0, "bogus": 1}), "bogus"},
+		{"sweep-unknown", "/v1/sweep", solveBody(t, in, map[string]any{"bogus": 1}), "bogus"},
+		{"batch-unknown", "/v1/batch", []byte(`{"instances":[],"bound":1,"bogus":1}`), "bogus"},
+	}
+	batch, err := json.Marshal(map[string]any{
+		"instances": []map[string]any{{"pipeline": in.App, "platform": in.Plat}},
+		"bound":     1.5,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	valid := map[string][]byte{
+		"/v1/solve": solveBody(t, in, map[string]any{"bound": 1e6}),
+		"/v1/sweep": solveBody(t, in, map[string]any{"points": 4}),
+		"/v1/batch": batch,
+	}
+	const trailing = "trailing data after the JSON object"
+	for _, path := range []string{"/v1/solve", "/v1/sweep", "/v1/batch"} {
+		scanned := valid[path]
+		fallback := append([]byte(`{"timeout_ms":null,`), scanned[1:]...)
+		name := strings.TrimPrefix(path, "/v1/")
+		for _, tail := range []string{"}", "]", "}}]]", " \n}", " {}", "x"} {
+			cases = append(cases,
+				testCase{name + "-scan-tail-" + tail, path, append(append([]byte(nil), scanned...), tail...), trailing},
+				testCase{name + "-fallback-tail-" + tail, path, append(append([]byte(nil), fallback...), tail...), trailing})
+		}
+	}
+	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
 			resp, data := post(t, ts, tc.path, tc.body)
 			if resp.StatusCode != http.StatusBadRequest {
 				t.Fatalf("status %d, want 400: %s", resp.StatusCode, data)
 			}
-			if !strings.Contains(string(data), "bogus") && !strings.Contains(string(data), "instances") {
-				t.Fatalf("error does not name the offending field: %s", data)
+			if !strings.Contains(string(data), tc.want) {
+				t.Fatalf("error does not name %q: %s", tc.want, data)
 			}
 		})
+	}
+	// Whitespace after the object is not trailing data, on either path.
+	for path, body := range valid {
+		for _, b := range [][]byte{body, append([]byte(`{"timeout_ms":null,`), body[1:]...)} {
+			resp, data := post(t, ts, path, append(append([]byte(nil), b...), " \t\r\n"...))
+			if resp.StatusCode != http.StatusOK {
+				t.Fatalf("%s with trailing whitespace: status %d: %s", path, resp.StatusCode, data)
+			}
+		}
 	}
 }
 
@@ -352,5 +390,26 @@ func TestBatchWireKeyMatchesObjectKey(t *testing.T) {
 	opts := portfolio.BatchOptions{Bound: 1.5}
 	if batchKeyWire(opts, swapped) == batchKeyWire(opts, wires) {
 		t.Error("reordering instances kept the batch key")
+	}
+}
+
+// TestOversizedBodyScratchNotPooled pins the pool cap: a request whose
+// body outgrew maxPooledBody must not carry that buffer back into the
+// scratch pool, where it would stay pinned for the life of the process.
+func TestOversizedBodyScratchNotPooled(t *testing.T) {
+	s := New(Options{})
+	body := solveBody(t, testInstance(t), map[string]any{"bound": 1e6})
+	body = append(body, bytes.Repeat([]byte{' '}, 2*maxPooledBody)...)
+	rec := httptest.NewRecorder()
+	s.ServeHTTP(rec, httptest.NewRequest(http.MethodPost, "/v1/solve", bytes.NewReader(body)))
+	if rec.Code != http.StatusOK {
+		t.Fatalf("status %d: %s", rec.Code, rec.Body)
+	}
+	for i := 0; i < 4; i++ {
+		sc := scratchPool.Get().(*scratch)
+		defer scratchPool.Put(sc)
+		if cap(sc.body) > maxPooledBody {
+			t.Fatalf("pooled scratch holds a %d-byte body buffer, cap %d", cap(sc.body), maxPooledBody)
+		}
 	}
 }
