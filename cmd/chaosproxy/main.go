@@ -1,8 +1,8 @@
 // Command chaosproxy fronts one pipeschedd daemon with a fault-injecting
 // reverse proxy driven by a seeded schedule (internal/faultinject).
 // Advertise the proxy's URL in a fleet's peers file and every
-// peer-to-peer exchange with that node — forwards, hedges, snapshot
-// pulls — crosses the fault schedule, while clients and health checks
+// peer-to-peer exchange with that node — forwards, hedges, digest and
+// entry pulls — crosses the fault schedule, while clients and health checks
 // can still reach the daemon directly on its own port. That split is
 // what lets scripts/cluster_e2e.sh inject latency, drops, flapping and
 // 5xx bursts into the fleet's internal traffic and still assert that

@@ -7,7 +7,9 @@ import (
 	"net"
 	"net/http"
 	"os"
+	"os/signal"
 	"strings"
+	"syscall"
 	"testing"
 	"time"
 
@@ -27,7 +29,6 @@ func TestDaemonPeerFlagValidation(t *testing.T) {
 		{"zero-peer-timeout", []string{"-peer-timeout", "0s"}},
 		{"negative-peer-backoff", []string{"-peer-backoff", "-1s"}},
 		{"peers-and-peers-file", []string{"-peers", "http://a:1", "-peers-file", "x", "-advertise", "http://a:1"}},
-		{"watch-without-file", []string{"-peers", "http://a:1,http://b:2", "-advertise", "http://a:1", "-peers-watch", "1s"}},
 		{"negative-replicas", []string{"-peers", "http://a:1,http://b:2", "-advertise", "http://a:1", "-replicas", "-1"}},
 		{"missing-peers-file", []string{"-peers-file", "/nonexistent/peers.txt", "-advertise", "http://a:1"}},
 	} {
@@ -78,7 +79,6 @@ func TestDaemonFleetForwards(t *testing.T) {
 			"-replicas", "1",
 			"-peer-timeout", "500ms",
 			"-peer-backoff", "200ms",
-			"-no-warmup",
 		)
 		shutdowns = append(shutdowns, shutdown)
 	}
@@ -90,6 +90,34 @@ func TestDaemonFleetForwards(t *testing.T) {
 		}
 	}()
 	baseA, baseB := "http://"+addrA, "http://"+addrB
+
+	// A's boot warm-up may have run before B was listening and marked B
+	// down for one backoff window; wait that window out so the walk
+	// below can forward.
+	deadline := time.Now().Add(5 * time.Second)
+	for {
+		resp, err := http.Get(baseA + "/metrics")
+		if err != nil {
+			t.Fatal(err)
+		}
+		var snap struct {
+			Cluster *struct {
+				PeersDown int `json:"peers_down"`
+			} `json:"cluster"`
+		}
+		err = json.NewDecoder(resp.Body).Decode(&snap)
+		resp.Body.Close()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if snap.Cluster != nil && snap.Cluster.PeersDown == 0 {
+			break
+		}
+		if time.Now().After(deadline) {
+			t.Fatal("node A never saw node B up")
+		}
+		time.Sleep(25 * time.Millisecond)
+	}
 
 	// Walk seeds until one lands a peer tier on node A: that request was
 	// owned by node B and proxied.
@@ -166,13 +194,21 @@ func TestDaemonFleetForwards(t *testing.T) {
 }
 
 // TestDaemonPeersFileReload drives dynamic membership through the full
-// daemon surface: two daemons share a -peers-file and watch it at a
-// short poll interval; appending a third member must swap both onto the
-// 3-peer topology without a restart, and the reload must be visible in
-// /metrics. The new member never comes up — its snapshot pull failing is
-// exactly the degraded-handoff path a real join races against, and it
-// must not block the swap.
+// daemon surface: two daemons share a -peers-file; appending a third
+// member and sending SIGHUP must swap both onto the 3-peer topology
+// without a restart, and the reload must be visible in /metrics. The new
+// member never comes up — its digest pull failing is exactly the
+// degraded-handoff path a real join races against, and it must not
+// block the swap.
 func TestDaemonPeersFileReload(t *testing.T) {
+	// Both daemons run in this process and watch SIGHUP themselves. The
+	// test subscribes first, so no SIGHUP it sends — even one landing
+	// before a daemon has subscribed — can take the default action and
+	// kill the test binary.
+	hup := make(chan os.Signal, 1)
+	signal.Notify(hup, syscall.SIGHUP)
+	defer signal.Stop(hup)
+
 	addrA, addrB, addrC := reservePort(t), reservePort(t), reservePort(t)
 	peersPath := t.TempDir() + "/peers.txt"
 	writePeers := func(addrs ...string) {
@@ -192,11 +228,9 @@ func TestDaemonPeersFileReload(t *testing.T) {
 		_, shutdown := startDaemon(t,
 			"-addr", addr,
 			"-peers-file", peersPath,
-			"-peers-watch", "50ms",
 			"-advertise", "http://"+addr,
 			"-peer-timeout", "500ms",
 			"-peer-backoff", "200ms",
-			"-no-warmup",
 		)
 		shutdowns = append(shutdowns, shutdown)
 	}
@@ -234,11 +268,11 @@ func TestDaemonPeersFileReload(t *testing.T) {
 		t.Fatalf("before reload: peers=%d reloads=%d, want 2/0", peers, reloads)
 	}
 
-	// mtime granularity can swallow a rewrite that lands in the same
-	// instant the file was created; a short sleep keeps the stamp distinct.
-	time.Sleep(20 * time.Millisecond)
 	writePeers(addrA, addrB, addrC)
 
+	// Signal until both daemons report the grown fleet. Repeats are safe:
+	// a reload onto the peer list already in force is a no-op, so each
+	// daemon counts exactly one reload however many signals it sees.
 	deadline := time.Now().Add(5 * time.Second)
 	for _, base := range []string{baseA, baseB} {
 		for {
@@ -248,6 +282,9 @@ func TestDaemonPeersFileReload(t *testing.T) {
 			}
 			if time.Now().After(deadline) {
 				t.Fatalf("%s never picked up the peers-file change: peers=%d reloads=%d", base, peers, reloads)
+			}
+			if err := syscall.Kill(os.Getpid(), syscall.SIGHUP); err != nil {
+				t.Fatal(err)
 			}
 			time.Sleep(25 * time.Millisecond)
 		}
@@ -277,5 +314,35 @@ func TestDaemonPeersFileReload(t *testing.T) {
 	}
 	if !bytes.Equal(bodies[0], bodies[1]) {
 		t.Fatalf("post-reload daemons disagree:\n%s\nvs\n%s", bodies[0], bodies[1])
+	}
+}
+
+// TestDaemonWarmupLogLine pins the boot log line fleet tooling waits
+// for: every peer-mode node runs one anti-entropy round at boot and logs
+// its outcome with "warm-up" — a one-member -peers seed (nothing to
+// pull) and a -join node (pulling from that seed) alike.
+func TestDaemonWarmupLogLine(t *testing.T) {
+	addrA, addrB := reservePort(t), reservePort(t)
+	urlA, urlB := "http://"+addrA, "http://"+addrB
+	for _, node := range []struct {
+		name string
+		args []string
+	}{
+		{"peers-seed", []string{"-addr", addrA, "-peers", urlA, "-advertise", urlA}},
+		{"join", []string{"-addr", addrB, "-join", urlA, "-advertise", urlB}},
+	} {
+		_, log, shutdown := startDaemonLog(t, node.args...)
+		defer func() {
+			if err := shutdown(); err != nil {
+				t.Errorf("%s shutdown: %v", node.name, err)
+			}
+		}()
+		deadline := time.Now().Add(10 * time.Second)
+		for !strings.Contains(log.String(), "pipeschedd: warm-up imported 0 entries") {
+			if time.Now().After(deadline) {
+				t.Fatalf("%s node never logged its warm-up:\n%s", node.name, log.String())
+			}
+			time.Sleep(10 * time.Millisecond)
+		}
 	}
 }

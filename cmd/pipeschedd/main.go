@@ -33,9 +33,8 @@
 //
 //	-peers URLS           static fleet: comma-separated base URLs
 //	-peers-file PATH      dynamic fleet: URLs from a file (one per line,
-//	                      #-comments), reloaded on SIGHUP with
-//	                      snapshot-driven key handoff
-//	-peers-watch DUR      also poll -peers-file for changes (0 = SIGHUP only)
+//	                      #-comments), reloaded on SIGHUP; the reload
+//	                      hands keys off with one anti-entropy round
 //	-join URLS            self-healing fleet: bootstrap the member list
 //	                      from any reachable seed URL, announce this node,
 //	                      and let gossip propagate the join (no peers file
@@ -50,18 +49,19 @@
 //	-peer-backoff DUR     initial down window after a failed or 5xx
 //	                      exchange (default 5s)
 //	-peer-max-backoff DUR cap for the exponential down window (default 60s)
-//	-snapshot-entries N   cap per snapshot pull (default 1024)
-//	-no-warmup            skip the background warm-up on boot
 //	-gossip-interval DUR  membership exchange with one live peer per tick
 //	                      (default 10s; 0 disables gossip)
 //	-sync-interval DUR    replica anti-entropy round: pull peer cache
 //	                      digests, fetch missing owned entries (default
 //	                      30s; 0 disables sync)
 //
-// Example 3-node fleet member:
+// A peer-mode node always warms up at boot with one anti-entropy round
+// and logs "warm-up imported N entries" (or "warm-up incomplete").
+//
+// Example 3-node fleet member (edit the file, then kill -HUP the daemon):
 //
 //	pipeschedd -addr :8080 -advertise http://10.0.0.1:8080 \
-//	    -peers-file /etc/pipesched/peers.txt -peers-watch 30s
+//	    -peers-file /etc/pipesched/peers.txt
 //
 // Example self-healing join (no peers file on the new host):
 //
@@ -133,9 +133,6 @@ func run(ctx context.Context, args []string, out, errOut io.Writer) error {
 		hedgeAfter     = fs.Duration("hedge-after", 0, "fire the same forward at the next replica when the first has not answered within this delay (0 = peer-timeout/4, negative = no hedging)")
 		peerBackoff    = fs.Duration("peer-backoff", cluster.DefaultBackoff, "base down window after a peer failure; consecutive failures back off exponentially up to -peer-max-backoff")
 		peerMaxBackoff = fs.Duration("peer-max-backoff", cluster.DefaultMaxBackoff, "cap on the exponential peer down window")
-		snapshotMax    = fs.Int("snapshot-entries", 0, "hot cache entries served to (and accepted from) each peer at warm-up and handoff (0 = default 1024)")
-		noWarmup       = fs.Bool("no-warmup", false, "skip the background cache warm-up from peers at start")
-		peersWatch     = fs.Duration("peers-watch", 0, "poll -peers-file for changes at this interval and reload without a signal (0 = SIGHUP only)")
 		join           = fs.String("join", "", "comma-separated seed URLs: bootstrap the member list from any reachable one, announce this node, and join the fleet (requires -advertise; excludes -peers/-peers-file)")
 		gossipInterval = fs.Duration("gossip-interval", 10*time.Second, "membership gossip tick: pull one live peer's member list and merge (0 = disabled)")
 		syncInterval   = fs.Duration("sync-interval", 30*time.Second, "replica anti-entropy tick: pull peer cache digests and fetch missing owned entries (0 = disabled)")
@@ -161,12 +158,6 @@ func run(ctx context.Context, args []string, out, errOut io.Writer) error {
 	if *join != "" && (*peers != "" || *peersFile != "") {
 		return cli.Usagef("-join and -peers/-peers-file are mutually exclusive (a joining node learns the fleet from its seeds)")
 	}
-	if *peersWatch < 0 {
-		return cli.Usagef("-peers-watch must be non-negative")
-	}
-	if *peersWatch > 0 && *peersFile == "" {
-		return cli.Usagef("-peers-watch requires -peers-file")
-	}
 	if *gossipInterval < 0 || *syncInterval < 0 {
 		return cli.Usagef("-gossip-interval and -sync-interval must be non-negative")
 	}
@@ -178,7 +169,10 @@ func run(ctx context.Context, args []string, out, errOut io.Writer) error {
 		}
 		peerList = cluster.ParsePeersFile(data)
 	}
-	var clusterCfg *service.ClusterConfig
+	var (
+		topo  *cluster.Topology
+		epoch uint64
+	)
 	switch {
 	case *join != "":
 		if *advertise == "" {
@@ -188,39 +182,32 @@ func run(ctx context.Context, args []string, out, errOut io.Writer) error {
 		if err != nil {
 			return fmt.Errorf("join: %w", err)
 		}
-		topo, err := cluster.NewTopology(m.Peers, *advertise)
-		if err != nil {
+		if topo, err = cluster.NewTopology(m.Peers, *advertise); err != nil {
 			return fmt.Errorf("join: %w", err)
 		}
-		clusterCfg = &service.ClusterConfig{
-			Topology:        topo,
-			Epoch:           m.Epoch,
-			Replicas:        *replicas,
-			ForwardTimeout:  *peerTimeout,
-			HedgeAfter:      *hedgeAfter,
-			PeerBackoff:     *peerBackoff,
-			MaxPeerBackoff:  *peerMaxBackoff,
-			SnapshotEntries: *snapshotMax,
-		}
+		epoch = m.Epoch
 	case *peers != "" || *peersFile != "":
 		if *advertise == "" {
 			return cli.Usagef("-peers/-peers-file requires -advertise")
 		}
-		topo, err := cluster.NewTopology(peerList, *advertise)
-		if err != nil {
+		var err error
+		if topo, err = cluster.NewTopology(peerList, *advertise); err != nil {
 			return cli.Usagef("%v", err)
-		}
-		clusterCfg = &service.ClusterConfig{
-			Topology:        topo,
-			Replicas:        *replicas,
-			ForwardTimeout:  *peerTimeout,
-			HedgeAfter:      *hedgeAfter,
-			PeerBackoff:     *peerBackoff,
-			MaxPeerBackoff:  *peerMaxBackoff,
-			SnapshotEntries: *snapshotMax,
 		}
 	case *advertise != "":
 		return cli.Usagef("-advertise requires -peers, -peers-file or -join")
+	}
+	var clusterCfg *service.ClusterConfig
+	if topo != nil {
+		clusterCfg = &service.ClusterConfig{
+			Topology:       topo,
+			Epoch:          epoch,
+			Replicas:       *replicas,
+			ForwardTimeout: *peerTimeout,
+			HedgeAfter:     *hedgeAfter,
+			PeerBackoff:    *peerBackoff,
+			MaxPeerBackoff: *peerMaxBackoff,
+		}
 	}
 
 	logger := log.New(out, "", log.LstdFlags)
@@ -252,11 +239,12 @@ func run(ctx context.Context, args []string, out, errOut io.Writer) error {
 		Logger:         logger,
 		Cluster:        clusterCfg,
 	})
-	if clusterCfg != nil && !*noWarmup {
-		// Warm-up runs in the background while the listener is already
-		// serving: a cold node is correct (it misses and forwards or
-		// solves), warm-up only makes it fast sooner. Bounded so a
-		// wedged peer cannot pin the goroutine forever.
+	if clusterCfg != nil {
+		// Warm-up (one anti-entropy round) runs in the background while
+		// the listener is already serving: a cold node is correct (it
+		// misses and forwards or solves), warm-up only makes it fast
+		// sooner. Bounded so a wedged peer cannot pin the goroutine
+		// forever.
 		go func() {
 			wctx, cancel := context.WithTimeout(ctx, 30*time.Second)
 			defer cancel()
@@ -267,11 +255,9 @@ func run(ctx context.Context, args []string, out, errOut io.Writer) error {
 			}
 			logger.Printf("pipeschedd: warm-up imported %d entries", n)
 		}()
-	}
-	if clusterCfg != nil && *peersFile != "" {
-		go watchPeersFile(ctx, srv, logger, *peersFile, *advertise, *peersWatch)
-	}
-	if clusterCfg != nil {
+		if *peersFile != "" {
+			go watchPeersFile(ctx, srv, logger, *peersFile, *advertise)
+		}
 		if *join != "" {
 			// Announce after the listener is up, so the peers that learn
 			// about us can immediately exchange with us. Failures are
@@ -313,48 +299,28 @@ func bootstrapJoin(ctx context.Context, seeds []string, advertise string, timeou
 	return cluster.Members{}, err
 }
 
-// watchPeersFile is the dynamic-membership loop: it re-reads the peers
-// file on SIGHUP (and, with -peers-watch, whenever the file's
-// mtime/size changes) and swaps the new topology in atomically, pulling
-// newly-owned keys from the fleet in the same pass. A reload that fails
-// to parse or validate is logged and ignored — the serving view never
-// regresses to a broken peer list.
-func watchPeersFile(ctx context.Context, srv *service.Server, logger *log.Logger, path, advertise string, poll time.Duration) {
+// watchPeersFile is the dynamic-membership loop: on every SIGHUP it
+// re-reads the peers file and swaps the new topology in atomically,
+// pulling newly-owned keys from the fleet in the same pass. A reload
+// that fails to parse or validate is logged and ignored — the serving
+// view never regresses to a broken peer list.
+func watchPeersFile(ctx context.Context, srv *service.Server, logger *log.Logger, path, advertise string) {
 	hup := make(chan os.Signal, 1)
 	signal.Notify(hup, syscall.SIGHUP)
 	defer signal.Stop(hup)
-
-	var tick <-chan time.Time
-	if poll > 0 {
-		t := time.NewTicker(poll)
-		defer t.Stop()
-		tick = t.C
-	}
-	stamp := func() string {
-		fi, err := os.Stat(path)
-		if err != nil {
-			return ""
-		}
-		return fmt.Sprintf("%d/%d", fi.ModTime().UnixNano(), fi.Size())
-	}
-	last := stamp()
 	for {
 		select {
 		case <-ctx.Done():
 			return
 		case <-hup:
-		case <-tick:
-			if s := stamp(); s == "" || s == last {
-				continue
-			}
+			reloadPeersFile(ctx, srv, logger, path, advertise)
 		}
-		last = stamp()
-		reloadPeersFile(ctx, srv, logger, path, advertise)
 	}
 }
 
-// reloadPeersFile performs one reload attempt: parse, diff, swap,
-// handoff.
+// reloadPeersFile performs one reload attempt: parse, swap, handoff. A
+// file naming the fleet already in force is a no-op inside
+// ReloadTopology.
 func reloadPeersFile(ctx context.Context, srv *service.Server, logger *log.Logger, path, advertise string) {
 	data, err := os.ReadFile(path)
 	if err != nil {
@@ -366,17 +332,14 @@ func reloadPeersFile(ctx context.Context, srv *service.Server, logger *log.Logge
 		logger.Printf("pipeschedd: peers reload rejected: %v", err)
 		return
 	}
-	if cur := srv.Topology(); cur != nil && strings.Join(cur.Peers(), ",") == strings.Join(topo.Peers(), ",") {
-		return // same fleet; nothing to swap
-	}
 	rctx, cancel := context.WithTimeout(ctx, 30*time.Second)
 	defer cancel()
 	n, err := srv.ReloadTopology(rctx, topo)
 	if err != nil {
-		logger.Printf("pipeschedd: topology reloaded (%d peers), handoff incomplete (%d entries): %v", topo.Size(), n, err)
+		logger.Printf("pipeschedd: peers reload (%d peers): handoff incomplete (%d entries imported): %v", topo.Size(), n, err)
 		return
 	}
-	logger.Printf("pipeschedd: topology reloaded (%d peers), handoff imported %d entries", topo.Size(), n)
+	logger.Printf("pipeschedd: peers reload (%d peers): handoff imported %d entries", topo.Size(), n)
 }
 
 // servePprof starts the opt-in profiling listener: an explicit mux

@@ -37,16 +37,24 @@ func (b *syncBuffer) String() string {
 
 var listenRE = regexp.MustCompile(`listening on (\S+)`)
 
-// startDaemon runs the daemon on an ephemeral port and returns its base
-// URL plus a shutdown function that cancels the context and waits for a
-// clean exit.
+// startDaemon runs the daemon quietly on an ephemeral port and returns
+// its base URL plus a shutdown function that cancels the context and
+// waits for a clean exit.
 func startDaemon(t *testing.T, args ...string) (string, func() error) {
+	t.Helper()
+	base, _, shutdown := startDaemonLog(t, append([]string{"-quiet"}, args...)...)
+	return base, shutdown
+}
+
+// startDaemonLog is startDaemon with the serving log left on; it also
+// returns the daemon's output stream.
+func startDaemonLog(t *testing.T, args ...string) (string, *syncBuffer, func() error) {
 	t.Helper()
 	ctx, cancel := context.WithCancel(context.Background())
 	out := &syncBuffer{}
 	errc := make(chan error, 1)
 	go func() {
-		errc <- run(ctx, append([]string{"-addr", "127.0.0.1:0", "-quiet"}, args...), out, out)
+		errc <- run(ctx, append([]string{"-addr", "127.0.0.1:0"}, args...), out, out)
 	}()
 	deadline := time.Now().Add(10 * time.Second)
 	var addr string
@@ -65,7 +73,7 @@ func startDaemon(t *testing.T, args ...string) (string, func() error) {
 		}
 		time.Sleep(5 * time.Millisecond)
 	}
-	return "http://" + addr, func() error {
+	return "http://" + addr, out, func() error {
 		cancel()
 		select {
 		case err := <-errc:

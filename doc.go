@@ -284,13 +284,16 @@
 // just like transport failures. Only when every replica is down does
 // the node fall back to a local solve: a dead or misbehaving peer is
 // never a client-visible error, and with R>=2 a single death costs no
-// cache coverage. Membership is dynamic: SIGHUP (or a -peers-watch
-// poll) atomically swaps a new topology, and the node installs peer
-// snapshot entries for keys it just became a replica for, so ownership
-// changes hand off warm state. Joining nodes warm their cache the same
-// way (GET /v1/peer/snapshot, a bounded length-prefixed format fuzzed
-// nightly, as are the peers-file parser and reload ownership agreement)
-// — a cold node is already correct, warm-up only makes it fast sooner.
+// cache coverage. Membership is dynamic: SIGHUP atomically swaps a new
+// topology from the peers file. Warm state moves through one exchange,
+// the anti-entropy round: pull each peer's key digest and fetch the
+// entries this node replicates but does not hold (GET /v1/peer/digest,
+// POST /v1/peer/fetch, bounded length-prefixed formats fuzzed nightly,
+// as are the peers-file parser and reload ownership agreement). A
+// booting node runs one round to warm up, a reloaded node runs one to
+// take over the keys it just became a replica for, and every node runs
+// one per sync tick — a cold node is already correct, warm-up only
+// makes it fast sooner.
 // Solvers are deterministic and responses are canonical rendered bytes,
 // so a fleet answers byte-identically to a single node whichever member
 // serves and whatever faults its peers suffer — pinned by an in-process

@@ -335,8 +335,8 @@ func BenchmarkFleetAntiEntropy(b *testing.B) {
 // BenchmarkFleetJoinWarmup prices the -join boot sequence a new node
 // runs before taking traffic: resolve the fleet from a seed
 // (GET /v1/peer/members), build the grown topology at the fleet's
-// epoch, and warm the cache from peer snapshots. The row bounds how
-// long a scale-out event keeps a fresh node cold.
+// epoch, and warm the cache with one anti-entropy round. The row bounds
+// how long a scale-out event keeps a fresh node cold.
 func BenchmarkFleetJoinWarmup(b *testing.B) {
 	const keys = 32
 	ctx := context.Background()

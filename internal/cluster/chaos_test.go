@@ -13,6 +13,7 @@ import (
 	"context"
 	"net/http"
 	"net/http/httptest"
+	"slices"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -25,9 +26,10 @@ import (
 
 // startChaosFleet brings up a 3-node fleet in which node 2 is advertised
 // through a fault-injecting reverse proxy: every forward, hedge and
-// snapshot pull that targets node 2 crosses the schedule, while nodes 0
-// and 1 (and node 2's own listener) stay clean. hedgeAfter is kept well
-// under the injected latency so delayed forwards actually hedge.
+// anti-entropy pull that targets node 2 crosses the schedule, while
+// nodes 0 and 1 (and node 2's own listener) stay clean. hedgeAfter is
+// kept well under the injected latency so delayed forwards actually
+// hedge.
 func startChaosFleet(t testing.TB, sched *faultinject.Schedule) (*fleet, *faultinject.Proxy) {
 	t.Helper()
 	f := &fleet{}
@@ -260,10 +262,10 @@ func TestFleetChaosRollingRestart(t *testing.T) {
 
 // TestFleetChaosMembershipReload shrinks a 3-node fleet to 2 via
 // ReloadTopology — the dynamic-membership path the daemon drives from a
-// peers-file change — and checks the snapshot-driven handoff: keys whose
-// replica set newly includes a survivor are installed there before the
-// departed node stops answering, so the shrink costs no correctness and
-// shows up as handed-off entries in the metrics.
+// peers-file change — and checks the handoff, one anti-entropy round
+// under the new view: keys whose replica set newly includes a survivor
+// are installed there before the departed node stops answering, so the
+// shrink costs no correctness and leaves the survivors digest-equal.
 func TestFleetChaosMembershipReload(t *testing.T) {
 	if testing.Short() {
 		t.Skip("chaos test in -short mode")
@@ -311,6 +313,9 @@ func TestFleetChaosMembershipReload(t *testing.T) {
 	}
 	if handed == 0 {
 		t.Fatal("shrinking 3->2 handed off no entries although both survivors gained ownership")
+	}
+	if a, b := fetchDigestKeys(t, f.urls[0]), fetchDigestKeys(t, f.urls[1]); !slices.Equal(a, b) {
+		t.Fatalf("survivors not digest-equal after the handoff: %d vs %d keys", len(a), len(b))
 	}
 
 	// The departed node can now actually die; the shrunken fleet must

@@ -26,18 +26,16 @@ const ForwardHeader = "X-Pipesched-Forward"
 // surfaced in /metrics long before a divergent fleet misroutes.
 const MembershipHeader = "X-Pipesched-Membership"
 
-// Peer-only endpoints. SnapshotPath streams a node's hot cache entries
-// in the snapshot codec; MembersPath serves its membership view (the
+// Peer-only endpoints. MembersPath serves a node's membership view (the
 // seed-join bootstrap source and the gossip pull); JoinPath accepts a
 // pushed view and answers with the merged one; DigestPath serves the
 // bounded key digest of the local cache; FetchPath accepts a digest
 // want-list and answers with the matching entries as a snapshot stream.
 const (
-	SnapshotPath = "/v1/peer/snapshot"
-	MembersPath  = "/v1/peer/members"
-	JoinPath     = "/v1/peer/join"
-	DigestPath   = "/v1/peer/digest"
-	FetchPath    = "/v1/peer/fetch"
+	MembersPath = "/v1/peer/members"
+	JoinPath    = "/v1/peer/join"
+	DigestPath  = "/v1/peer/digest"
+	FetchPath   = "/v1/peer/fetch"
 )
 
 const (
@@ -120,9 +118,10 @@ type peerHealth struct {
 }
 
 // Client talks to the fleet: it forwards requests to key replicas
-// (optionally hedged) and fetches warm-up snapshots, tracking per-peer
-// health so that a dead or slow peer costs at most one timeout per
-// backoff window. All methods are safe for concurrent use.
+// (optionally hedged) and runs the membership and anti-entropy
+// exchanges, tracking per-peer health so that a dead or slow peer costs
+// at most one timeout per backoff window. All methods are safe for
+// concurrent use.
 type Client struct {
 	hc          *http.Client
 	timeout     time.Duration
@@ -385,27 +384,6 @@ func (c *Client) ForwardHedged(ctx context.Context, peers []int, urls []string, 
 	return HedgedResult{ForwardResult: last.res, Peer: peers[last.idx], Hedged: last.idx > 0}, nil
 }
 
-// FetchSnapshot streams peer i's hot cache entries and decodes them
-// under the given bounds (see DecodeSnapshot). The round trip is bounded
-// by ctx alone — warm-up tolerates longer pulls than a forward — but a
-// transport failure still marks the peer down.
-func (c *Client) FetchSnapshot(ctx context.Context, i int, baseURL string, maxEntries, maxBody int) ([]Entry, error) {
-	resp, err := c.doPeerGet(ctx, i, baseURL, SnapshotPath)
-	if err != nil {
-		return nil, fmt.Errorf("cluster: snapshot from %s: %w", baseURL, err)
-	}
-	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		return nil, fmt.Errorf("cluster: snapshot from %s: status %d", baseURL, resp.StatusCode)
-	}
-	entries, err := DecodeSnapshot(resp.Body, maxEntries, maxBody)
-	if err != nil {
-		return nil, fmt.Errorf("cluster: snapshot from %s: %w", baseURL, err)
-	}
-	c.markUp(i)
-	return entries, nil
-}
-
 // doPeerGet issues one stamped GET exchange against peer i, with the
 // shared health accounting: a transport failure not caused by the
 // caller's own context marks the peer down, and any completed response
@@ -486,9 +464,10 @@ func (c *Client) Join(ctx context.Context, i int, baseURL string, m Members) (Me
 	return merged, nil
 }
 
-// FetchDigest pulls the bounded key digest of peer i's cache — the
-// anti-entropy comparison input. Bounded by the forward timeout.
-func (c *Client) FetchDigest(ctx context.Context, i int, baseURL string, maxKeys int) ([]Key, error) {
+// FetchDigest pulls the key digest of peer i's cache (at most
+// MaxDigestKeys keys) — the anti-entropy comparison input. Bounded by
+// the forward timeout.
+func (c *Client) FetchDigest(ctx context.Context, i int, baseURL string) ([]Key, error) {
 	fctx, cancel := context.WithTimeout(ctx, c.timeout)
 	defer cancel()
 	resp, err := c.doPeerGet(fctx, i, baseURL, DigestPath)
@@ -499,7 +478,7 @@ func (c *Client) FetchDigest(ctx context.Context, i int, baseURL string, maxKeys
 	if resp.StatusCode != http.StatusOK {
 		return nil, fmt.Errorf("cluster: digest from %s: status %d", baseURL, resp.StatusCode)
 	}
-	keys, err := DecodeDigest(resp.Body, maxKeys)
+	keys, err := DecodeDigest(resp.Body, MaxDigestKeys)
 	if err != nil {
 		return nil, fmt.Errorf("cluster: digest from %s: %w", baseURL, err)
 	}
@@ -510,9 +489,10 @@ func (c *Client) FetchDigest(ctx context.Context, i int, baseURL string, maxKeys
 // FetchEntries asks peer i for the listed keys' cache entries (the
 // anti-entropy pull): the want-list travels as a digest message, the
 // answer as a snapshot stream holding whatever subset the peer actually
-// has. Bounded by ctx alone, like FetchSnapshot — an entry pull may
-// legitimately move more bytes than a forward.
-func (c *Client) FetchEntries(ctx context.Context, i int, baseURL string, keys []Key, maxEntries, maxBody int) ([]Entry, error) {
+// has, at most MaxDigestKeys entries of at most maxBody bytes each.
+// Bounded by ctx alone — an entry pull may legitimately move more bytes
+// than a forward — but a transport failure still marks the peer down.
+func (c *Client) FetchEntries(ctx context.Context, i int, baseURL string, keys []Key, maxBody int) ([]Entry, error) {
 	var buf bytes.Buffer
 	if err := EncodeDigest(&buf, keys); err != nil {
 		return nil, fmt.Errorf("cluster: fetch encode: %w", err)
@@ -535,7 +515,7 @@ func (c *Client) FetchEntries(ctx context.Context, i int, baseURL string, keys [
 	if resp.StatusCode != http.StatusOK {
 		return nil, fmt.Errorf("cluster: fetch from %s: status %d", baseURL, resp.StatusCode)
 	}
-	entries, err := DecodeSnapshot(resp.Body, maxEntries, maxBody)
+	entries, err := DecodeSnapshot(resp.Body, MaxDigestKeys, maxBody)
 	if err != nil {
 		return nil, fmt.Errorf("cluster: fetch from %s: %w", baseURL, err)
 	}

@@ -50,13 +50,16 @@
 // freshly constructed one can never disagree (FuzzMembershipReload pins
 // this).
 //
-// # Snapshot warm-up
+// # Warm state
 //
-// A joining node streams the hot entries of its peers' caches
-// (GET /v1/peer/snapshot, encoded by this package's wire codec) and
-// imports them before taking traffic warm. The codec is
-// length-prefixed and versioned; decoding bounds both entry count and
-// body size so a misbehaving peer cannot balloon a joiner's memory.
+// A node's cache fills from its peers through one exchange, the
+// anti-entropy round: pull each peer's key digest (GET /v1/peer/digest),
+// keep the keys this node replicates but does not hold, and fetch their
+// entries (POST /v1/peer/fetch). A booting node, a node that has just
+// reloaded its topology and the periodic sync tick all run that same
+// round. The codecs are length-prefixed and versioned; decoding bounds
+// key count (MaxDigestKeys, identical on every node) and body size, so a
+// misbehaving peer cannot balloon a syncing node's memory.
 package cluster
 
 import (

@@ -222,33 +222,44 @@ func TestForwardTimeout(t *testing.T) {
 	}
 }
 
-func TestFetchSnapshot(t *testing.T) {
-	want := []Entry{
-		{Key: keyOf(1), Body: []byte("alpha")},
-		{Key: keyOf(2), Body: []byte{}},
-	}
+// TestFetchEntries drives the anti-entropy pull against a stub peer:
+// the want-list arrives as a digest message and the answer, a snapshot
+// stream holding only the keys the peer has, decodes back intact.
+func TestFetchEntries(t *testing.T) {
+	held := map[Key][]byte{keyOf(1): []byte("alpha"), keyOf(2): {}}
 	ts := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		if r.URL.Path != SnapshotPath {
+		if r.Method != http.MethodPost || r.URL.Path != FetchPath {
 			http.NotFound(w, r)
 			return
 		}
-		if err := EncodeSnapshot(w, want); err != nil {
+		want, err := DecodeDigest(r.Body, MaxDigestKeys)
+		if err != nil {
+			t.Errorf("want-list: %v", err)
+			return
+		}
+		var entries []Entry
+		for _, k := range want {
+			if body, ok := held[k]; ok {
+				entries = append(entries, Entry{Key: k, Body: body})
+			}
+		}
+		if err := EncodeSnapshot(w, entries); err != nil {
 			t.Errorf("encode: %v", err)
 		}
 	}))
 	defer ts.Close()
 
 	c := NewClient(ClientConfig{Peers: 1, Timeout: time.Second, Backoff: time.Minute})
-	got, err := c.FetchSnapshot(context.Background(), 0, ts.URL, 10, 1<<20)
+	got, err := c.FetchEntries(context.Background(), 0, ts.URL, []Key{keyOf(1), keyOf(2), keyOf(3)}, 1<<20)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(got) != len(want) {
-		t.Fatalf("got %d entries, want %d", len(got), len(want))
+	if len(got) != len(held) {
+		t.Fatalf("got %d entries, want %d", len(got), len(held))
 	}
-	for i := range want {
-		if got[i].Key != want[i].Key || string(got[i].Body) != string(want[i].Body) {
-			t.Fatalf("entry %d: got %v, want %v", i, got[i], want[i])
+	for _, e := range got {
+		if body, ok := held[e.Key]; !ok || string(e.Body) != string(body) {
+			t.Fatalf("entry %x: got %q, want %q (held %v)", e.Key[:4], e.Body, body, ok)
 		}
 	}
 }

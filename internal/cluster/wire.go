@@ -8,7 +8,7 @@ import (
 	"io"
 )
 
-// The peer wire codec: the byte stream of GET /v1/peer/snapshot. A
+// The peer wire codec: the byte stream answering POST /v1/peer/fetch. A
 // snapshot is a magic+version header followed by zero or more records,
 //
 //	[32-byte key][uvarint body length][body bytes]
@@ -17,12 +17,12 @@ import (
 // the body length-prefixed, so no record can bleed into its neighbour's
 // key — cross-peer key aliasing is structurally impossible, and
 // FuzzPeerWire pins it. Decoding is bounded (entry count, per-body
-// size), so a misbehaving peer cannot balloon a joining node's memory;
+// size), so a misbehaving peer cannot balloon a syncing node's memory;
 // any malformed stream is an error, never a panic.
 
 // snapshotMagic opens every snapshot stream. The trailing byte is the
 // codec version: bump it whenever a field is added or reordered, so a
-// mixed-version fleet fails loudly at warm-up instead of importing
+// mixed-version fleet fails loudly at sync instead of importing
 // garbage.
 var snapshotMagic = []byte{'P', 'S', 'N', 'P', 1}
 
@@ -45,6 +45,12 @@ const (
 	// — far above any fleet this system targets, small enough that a
 	// hostile message cannot balloon memory.
 	MaxMembers = 1024
+	// MaxDigestKeys bounds every anti-entropy message on both sides: the
+	// digest a node serves (its hottest keys), the want-list it accepts
+	// and the entries it accepts in a fetch answer. It is one fleet-wide
+	// constant, not a per-node setting, so no node can serve a stream a
+	// peer rejects.
+	MaxDigestKeys = 1024
 	// maxPeerURLLen bounds one member URL on the wire.
 	maxPeerURLLen = 512
 )

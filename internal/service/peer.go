@@ -25,8 +25,9 @@ package service
 //
 // The topology is swappable at runtime (ReloadTopology): requests in
 // flight finish under the epoch they started with, new requests route
-// under the new view, and the reloading node pulls newly-owned keys from
-// its peers' snapshots in the background.
+// under the new view, and the reloading node runs one anti-entropy round
+// under it to pull the keys it now replicates. Boot warm-up
+// (WarmFromPeers) is the same round.
 //
 // # Self-healing membership
 //
@@ -108,23 +109,10 @@ type ClusterConfig struct {
 	// JitterSeed seeds the backoff jitter; 0 derives a per-node seed
 	// from the advertise URL so a fleet never re-probes in lockstep.
 	JitterSeed int64
-	// SnapshotEntries bounds both the hot set served on
-	// GET /v1/peer/snapshot and the entries accepted per peer during
-	// warm-up and handoff; 0 selects the default (1024).
-	SnapshotEntries int
 	// Transport overrides the peer client's HTTP transport — the hook
 	// the chaos suite uses to inject faults in-process. nil selects the
 	// default pooled transport.
 	Transport http.RoundTripper
-}
-
-const defaultSnapshotEntries = 1024
-
-func (c *ClusterConfig) snapshotEntries() int {
-	if c.SnapshotEntries <= 0 {
-		return defaultSnapshotEntries
-	}
-	return c.SnapshotEntries
 }
 
 func (c *ClusterConfig) replicas() int {
@@ -172,10 +160,9 @@ type peerEpoch struct {
 // the routing parameters shared by all epochs, and the peer-tier
 // counters.
 type peerRouter struct {
-	epoch           atomic.Pointer[peerEpoch]
-	replicas        int
-	hedgeAfter      time.Duration
-	snapshotEntries int
+	epoch      atomic.Pointer[peerEpoch]
+	replicas   int
+	hedgeAfter time.Duration
 
 	// selfURL is this node's normalised advertise URL — constant across
 	// epochs, the anchor every membership install re-validates against.
@@ -189,23 +176,21 @@ type peerRouter struct {
 	jitterSeed int64
 	transport  http.RoundTripper
 
-	forwarded       atomic.Uint64 // requests proxied to a replica, any outcome
-	remoteHits      atomic.Uint64 // proxied, replica had it cached
-	remoteMisses    atomic.Uint64 // proxied, replica solved it
-	hedgedHits      atomic.Uint64 // proxied, a hedge attempt won the race
-	fallbacks       atomic.Uint64 // all replicas down or forwards failed; solved locally
-	ownedForwards   atomic.Uint64 // forwarded requests served for peers
-	snapshotsServed atomic.Uint64 // GET /v1/peer/snapshot responses
-	warmedEntries   atomic.Uint64 // entries imported by WarmFromPeers
-	reloads         atomic.Uint64 // topology epochs swapped in (operator or gossip)
-	handoffEntries  atomic.Uint64 // entries imported by reload handoff
+	forwarded     atomic.Uint64 // requests proxied to a replica, any outcome
+	remoteHits    atomic.Uint64 // proxied, replica had it cached
+	remoteMisses  atomic.Uint64 // proxied, replica solved it
+	hedgedHits    atomic.Uint64 // proxied, a hedge attempt won the race
+	fallbacks     atomic.Uint64 // all replicas down or forwards failed; solved locally
+	ownedForwards atomic.Uint64 // forwarded requests served for peers
+	warmedEntries atomic.Uint64 // entries imported by WarmFromPeers
+	reloads       atomic.Uint64 // topology epochs swapped in (operator or gossip)
 
 	gossipCursor    atomic.Uint64 // round-robin start for GossipOnce
 	gossipExchanges atomic.Uint64 // membership views pulled by gossip
 	gossipMerges    atomic.Uint64 // gossip pulls that changed our view
 	joinsServed     atomic.Uint64 // POST /v1/peer/join requests handled
 	syncRounds      atomic.Uint64 // anti-entropy rounds run
-	syncPulled      atomic.Uint64 // entries installed by anti-entropy
+	syncPulled      atomic.Uint64 // entries installed by any anti-entropy round
 	mismatches      atomic.Uint64 // peer exchanges with a foreign membership stamp
 	rejected        atomic.Uint64 // remote views refused (self-excluding or invalid)
 	lastMismatch    atomic.Int64  // unix-nano of the newest stamp mismatch; 0 = never
@@ -275,15 +260,14 @@ func newPeerRouter(cfg *ClusterConfig) *peerRouter {
 		return nil
 	}
 	p := &peerRouter{
-		replicas:        cfg.replicas(),
-		hedgeAfter:      cfg.hedgeAfter(),
-		snapshotEntries: cfg.snapshotEntries(),
-		selfURL:         cfg.Topology.Peer(cfg.Topology.Self()),
-		timeout:         cfg.ForwardTimeout,
-		backoff:         cfg.PeerBackoff,
-		maxBackoff:      cfg.MaxPeerBackoff,
-		jitterSeed:      cfg.JitterSeed,
-		transport:       cfg.Transport,
+		replicas:   cfg.replicas(),
+		hedgeAfter: cfg.hedgeAfter(),
+		selfURL:    cfg.Topology.Peer(cfg.Topology.Self()),
+		timeout:    cfg.ForwardTimeout,
+		backoff:    cfg.PeerBackoff,
+		maxBackoff: cfg.MaxPeerBackoff,
+		jitterSeed: cfg.JitterSeed,
+		transport:  cfg.Transport,
 	}
 	p.epoch.Store(p.newEpoch(cfg.Topology, cfg.Epoch))
 	return p
@@ -364,24 +348,6 @@ func (p *peerRouter) route(w http.ResponseWriter, r *http.Request, key cache.Key
 	}
 }
 
-// handleSnapshot streams this node's hot cache entries in the peer wire
-// codec — the warm-up source for joining nodes and the handoff source
-// for membership changes.
-func (s *Server) handleSnapshot(w http.ResponseWriter, r *http.Request) {
-	s.peers.observeStamp(r)
-	s.peers.stampResponse(w)
-	items := s.cache.Snapshot(s.peers.snapshotEntries)
-	entries := make([]cluster.Entry, len(items))
-	for i, it := range items {
-		entries[i] = cluster.Entry{Key: cluster.Key(it.Key), Body: it.Val}
-	}
-	s.peers.snapshotsServed.Add(1)
-	w.Header().Set("Content-Type", "application/octet-stream")
-	if err := cluster.EncodeSnapshot(w, entries); err != nil {
-		s.logger.Printf("pipeschedd: snapshot stream: %v", err)
-	}
-}
-
 // handleMembers serves this node's membership view — the seed a joining
 // node bootstraps from and the gossip pull every node runs periodically.
 func (s *Server) handleMembers(w http.ResponseWriter, r *http.Request) {
@@ -417,14 +383,15 @@ func (s *Server) handleJoin(w http.ResponseWriter, r *http.Request) {
 	}
 }
 
-// handleDigest serves the bounded key digest of this node's cache — the
-// anti-entropy comparison input. Keys only, no bodies: a sync round
-// against a converged replica costs one small exchange per peer.
+// handleDigest serves the key digest of this node's cache — its
+// cluster.MaxDigestKeys hottest keys, the anti-entropy comparison
+// input. Keys only, no bodies: a sync round against a converged replica
+// costs one small exchange per peer.
 func (s *Server) handleDigest(w http.ResponseWriter, r *http.Request) {
 	p := s.peers
 	p.observeStamp(r)
 	p.stampResponse(w)
-	items := s.cache.Snapshot(p.snapshotEntries)
+	items := s.cache.Snapshot(cluster.MaxDigestKeys)
 	keys := make([]cluster.Key, len(items))
 	for i, it := range items {
 		keys[i] = cluster.Key(it.Key)
@@ -438,12 +405,12 @@ func (s *Server) handleDigest(w http.ResponseWriter, r *http.Request) {
 // handleFetch answers an anti-entropy want-list: the subset of the
 // requested keys this node holds, streamed as a snapshot. Keys we do
 // not hold are simply absent — the puller treats the answer as best
-// effort, exactly like warm-up.
+// effort.
 func (s *Server) handleFetch(w http.ResponseWriter, r *http.Request) {
 	p := s.peers
 	p.observeStamp(r)
 	p.stampResponse(w)
-	keys, err := cluster.DecodeDigest(http.MaxBytesReader(w, r.Body, s.opts.maxBody()), p.snapshotEntries)
+	keys, err := cluster.DecodeDigest(http.MaxBytesReader(w, r.Body, s.opts.maxBody()), cluster.MaxDigestKeys)
 	if err != nil {
 		writeErrorBody(w, http.StatusBadRequest, err.Error())
 		return
@@ -460,45 +427,28 @@ func (s *Server) handleFetch(w http.ResponseWriter, r *http.Request) {
 	}
 }
 
-// WarmFromPeers pulls each peer's hot cache snapshot and installs the
-// entries locally, returning how many were imported. It is the joining
-// node's warm-up: correctness never depends on it (a cold node simply
-// misses and forwards or solves), so failures are collected and
-// reported, not fatal, and a partially warmed cache is strictly better
-// than a cold one. In single-node mode it is a no-op.
+// WarmFromPeers is the booting node's warm-up: one anti-entropy round
+// (SyncOnce) whose installed entries are also counted as warmed. It
+// returns how many entries were imported. Correctness never depends on
+// it (a cold node simply misses and forwards or solves), so failures are
+// collected and reported, not fatal, and a partially warmed cache is
+// strictly better than a cold one. In single-node mode it is a no-op.
 func (s *Server) WarmFromPeers(ctx context.Context) (int, error) {
 	if s.peers == nil {
 		return 0, nil
 	}
-	p := s.peers
-	ep := p.epoch.Load()
-	imported := 0
-	var errs []error
-	for i := 0; i < ep.topo.Size(); i++ {
-		if i == ep.topo.Self() {
-			continue
-		}
-		entries, err := ep.client.FetchSnapshot(ctx, i, ep.topo.Peer(i), p.snapshotEntries, int(s.opts.maxBody()))
-		if err != nil {
-			errs = append(errs, err)
-			continue
-		}
-		for _, e := range entries {
-			s.cache.Put(cache.Key(e.Key), e.Body)
-		}
-		imported += len(entries)
-	}
-	p.warmedEntries.Add(uint64(imported))
-	return imported, errors.Join(errs...)
+	n, err := s.SyncOnce(ctx)
+	s.peers.warmedEntries.Add(uint64(n))
+	return n, err
 }
 
-// ReloadTopology swaps a new fleet view in atomically and performs the
-// snapshot-driven key handoff: this node pulls its peers' hot entries
-// and installs the keys whose replica set it just joined, so a
-// membership change costs no cache coverage. Requests in flight finish
-// under the epoch they started with; new requests route under topo
-// immediately — correctness never waits for the handoff (an unhanded-off
-// key simply misses and forwards or solves). The number of handed-off
+// ReloadTopology swaps a new fleet view in atomically and hands keys
+// off by running one anti-entropy round (SyncOnce) under it: this node
+// pulls the keys whose replica set it now belongs to and does not hold,
+// so a membership change costs no cache coverage. Requests in flight
+// finish under the epoch they started with; new requests route under
+// topo immediately — correctness never waits for the handoff (a key not
+// yet pulled simply misses and forwards or solves). The number of pulled
 // entries is returned; fetch failures are collected, not fatal. Calling
 // it on a single-node server is an error: there is no peer surface to
 // reload.
@@ -513,55 +463,22 @@ func (s *Server) ReloadTopology(ctx context.Context, topo *cluster.Topology) (in
 	// wholesale, so the shrunk view propagates instead of being
 	// resurrected by the next exchange. A reload onto the peer list
 	// already in force is a no-op — without this, a SIGHUP racing a
-	// gossip adoption of the same view (both survivors of a shrink watch
-	// the same file AND gossip with each other) would bump the epoch
-	// twice for one operator decision. The CAS closes that race: if a
-	// gossip install lands between the equality check and the swap, the
+	// gossip adoption of the same view (both survivors of a shrink
+	// reload the same file AND gossip with each other) would bump the
+	// epoch twice for one operator decision. The CAS closes that race: if
+	// a gossip install lands between the equality check and the swap, the
 	// reload re-checks against the winner's view.
-	var old, ep *peerEpoch
 	for {
-		old = p.epoch.Load()
+		old := p.epoch.Load()
 		if cluster.NewMembers(old.members.Epoch, topo.Peers()).Equal(old.members) {
 			return 0, nil
 		}
-		ep = p.newEpoch(topo, old.members.Epoch+1)
-		if p.epoch.CompareAndSwap(old, ep) {
+		if p.epoch.CompareAndSwap(old, p.newEpoch(topo, old.members.Epoch+1)) {
 			break
 		}
 	}
 	p.reloads.Add(1)
-
-	// Handoff: for every peer's hot set, keep the keys this node now
-	// replicates but did not before. The cache install is idempotent, so
-	// the old-ownership filter only avoids redundant work, never
-	// correctness.
-	imported := 0
-	var errs []error
-	var newOwn, oldOwn []int
-	for i := 0; i < topo.Size(); i++ {
-		if i == topo.Self() {
-			continue
-		}
-		entries, err := ep.client.FetchSnapshot(ctx, i, topo.Peer(i), p.snapshotEntries, int(s.opts.maxBody()))
-		if err != nil {
-			errs = append(errs, err)
-			continue
-		}
-		for _, e := range entries {
-			newOwn = topo.Owners(cluster.Key(e.Key), p.replicas, newOwn)
-			if !containsInt(newOwn, topo.Self()) {
-				continue
-			}
-			oldOwn = old.topo.Owners(cluster.Key(e.Key), p.replicas, oldOwn)
-			if containsInt(oldOwn, old.topo.Self()) {
-				continue
-			}
-			s.cache.Put(cache.Key(e.Key), e.Body)
-			imported++
-		}
-	}
-	p.handoffEntries.Add(uint64(imported))
-	return imported, errors.Join(errs...)
+	return s.SyncOnce(ctx)
 }
 
 // Topology returns the server's current fleet view, or nil in
@@ -624,7 +541,7 @@ func (s *Server) adoptMembers(remote cluster.Members) cluster.Members {
 // GossipOnce performs one membership exchange: it pulls the member list
 // of the next live peer (round-robin across ticks) and adopts the
 // merged view. changed reports whether our view moved. A gossip-driven
-// install performs no snapshot handoff — the anti-entropy loop heals
+// install runs no immediate sync round — the anti-entropy loop heals
 // any coverage gap on its own cadence. No reachable peer is not an
 // error; every reachable peer failing is.
 func (s *Server) GossipOnce(ctx context.Context) (changed bool, err error) {
@@ -687,13 +604,15 @@ func (s *Server) AnnounceSelf(ctx context.Context) error {
 }
 
 // SyncOnce performs one replica anti-entropy round: for every live peer
-// it pulls the bounded key digest of that peer's cache and fetches the
-// entries this node replicates (self in the key's replica set) but does
-// not hold, installing them locally. A replica set with zero client
-// traffic therefore converges digest-equal within one round per
-// direction. The number of installed entries is returned; per-peer
-// failures are collected, never fatal — a missed round costs freshness,
-// not correctness.
+// it pulls the key digest of that peer's cache and fetches the entries
+// this node replicates (self in the key's replica set) but does not
+// hold, installing them locally. A replica set with zero client traffic
+// therefore converges digest-equal within one round per direction. It
+// is the fleet's one warm-state path: the periodic sync tick, boot
+// warm-up (WarmFromPeers) and reload handoff (ReloadTopology) all run
+// it. The number of installed entries is returned; per-peer failures are
+// collected, never fatal — a missed round costs freshness, not
+// correctness.
 func (s *Server) SyncOnce(ctx context.Context) (int, error) {
 	if s.peers == nil {
 		return 0, nil
@@ -708,7 +627,7 @@ func (s *Server) SyncOnce(ctx context.Context) (int, error) {
 		if i == ep.topo.Self() || !ep.client.Available(i) {
 			continue
 		}
-		keys, err := ep.client.FetchDigest(ctx, i, ep.topo.Peer(i), p.snapshotEntries)
+		keys, err := ep.client.FetchDigest(ctx, i, ep.topo.Peer(i))
 		if err != nil {
 			errs = append(errs, err)
 			continue
@@ -727,7 +646,7 @@ func (s *Server) SyncOnce(ctx context.Context) (int, error) {
 		if len(want) == 0 {
 			continue
 		}
-		entries, err := ep.client.FetchEntries(ctx, i, ep.topo.Peer(i), want, p.snapshotEntries, int(s.opts.maxBody()))
+		entries, err := ep.client.FetchEntries(ctx, i, ep.topo.Peer(i), want, int(s.opts.maxBody()))
 		if err != nil {
 			errs = append(errs, err)
 			continue
@@ -801,20 +720,18 @@ func containsInt(s []int, v int) bool {
 // ClusterMetricsSnapshot is the "cluster" section of GET /metrics,
 // present only in peer mode.
 type ClusterMetricsSnapshot struct {
-	Peers           int    `json:"peers"`
-	Self            int    `json:"self"`
-	Replicas        int    `json:"replicas"`
-	PeersDown       int    `json:"peers_down"`
-	Forwarded       uint64 `json:"forwarded"`
-	RemoteHits      uint64 `json:"remote_hits"`
-	RemoteMisses    uint64 `json:"remote_misses"`
-	HedgedHits      uint64 `json:"hedged_hits"`
-	Fallbacks       uint64 `json:"fallbacks"`
-	OwnedForwards   uint64 `json:"owned_forwards"`
-	SnapshotsServed uint64 `json:"snapshots_served"`
-	WarmedEntries   uint64 `json:"warmed_entries"`
-	Reloads         uint64 `json:"reloads"`
-	HandoffEntries  uint64 `json:"handoff_entries"`
+	Peers         int    `json:"peers"`
+	Self          int    `json:"self"`
+	Replicas      int    `json:"replicas"`
+	PeersDown     int    `json:"peers_down"`
+	Forwarded     uint64 `json:"forwarded"`
+	RemoteHits    uint64 `json:"remote_hits"`
+	RemoteMisses  uint64 `json:"remote_misses"`
+	HedgedHits    uint64 `json:"hedged_hits"`
+	Fallbacks     uint64 `json:"fallbacks"`
+	OwnedForwards uint64 `json:"owned_forwards"`
+	WarmedEntries uint64 `json:"warmed_entries"`
+	Reloads       uint64 `json:"reloads"`
 
 	// Self-healing membership: the epoch-stamped view, its wire stamp,
 	// and the disagreement/convergence observables. MembershipAgeSeconds
@@ -859,20 +776,18 @@ func (p *peerRouter) snapshot() *ClusterMetricsSnapshot {
 		converged = 0
 	}
 	return &ClusterMetricsSnapshot{
-		Peers:           ep.topo.Size(),
-		Self:            ep.topo.Self(),
-		Replicas:        p.replicas,
-		PeersDown:       down,
-		Forwarded:       p.forwarded.Load(),
-		RemoteHits:      p.remoteHits.Load(),
-		RemoteMisses:    p.remoteMisses.Load(),
-		HedgedHits:      p.hedgedHits.Load(),
-		Fallbacks:       p.fallbacks.Load(),
-		OwnedForwards:   p.ownedForwards.Load(),
-		SnapshotsServed: p.snapshotsServed.Load(),
-		WarmedEntries:   p.warmedEntries.Load(),
-		Reloads:         p.reloads.Load(),
-		HandoffEntries:  p.handoffEntries.Load(),
+		Peers:         ep.topo.Size(),
+		Self:          ep.topo.Self(),
+		Replicas:      p.replicas,
+		PeersDown:     down,
+		Forwarded:     p.forwarded.Load(),
+		RemoteHits:    p.remoteHits.Load(),
+		RemoteMisses:  p.remoteMisses.Load(),
+		HedgedHits:    p.hedgedHits.Load(),
+		Fallbacks:     p.fallbacks.Load(),
+		OwnedForwards: p.ownedForwards.Load(),
+		WarmedEntries: p.warmedEntries.Load(),
+		Reloads:       p.reloads.Load(),
 
 		MembershipEpoch:      ep.members.Epoch,
 		MembershipHash:       ep.stamp,

@@ -3,6 +3,7 @@ package service
 import (
 	"bytes"
 	"context"
+	"encoding/binary"
 	"io"
 	"net"
 	"net/http"
@@ -13,6 +14,7 @@ import (
 	"time"
 
 	"pipesched/internal/cluster"
+	"pipesched/internal/service/cache"
 	"pipesched/internal/workload"
 )
 
@@ -234,57 +236,57 @@ func TestPeerForwardedRequestNeverReforwarded(t *testing.T) {
 	}
 }
 
-// TestPeerSnapshotEndpoint: the snapshot stream decodes under the peer
-// codec and carries exactly the entries this node has cached.
-func TestPeerSnapshotEndpoint(t *testing.T) {
-	s, ts := newPeerTestServer(t, deadPeerURL(t), 300*time.Millisecond, time.Minute)
-
-	var bodies [][]byte
-	for seed := int64(0); seed < 3; seed++ {
-		in := workload.Generate(workload.Config{Family: workload.E1, Stages: 6, Processors: 4, Seed: seed})
-		resp, b := post(t, ts, "/v1/solve", solveBody(t, in, map[string]any{"bound": 1e6}))
-		if resp.StatusCode != http.StatusOK {
-			t.Fatalf("seed %d: status %d", seed, resp.StatusCode)
+// TestSyncOverBoundPeer: a peer whose cache holds more entries than
+// cluster.MaxDigestKeys (it runs a larger -cache-entries) still serves a
+// digest every node accepts, so a sync round against it succeeds and
+// pulls at most the bound — mixed cache sizes never stop convergence.
+func TestSyncOverBoundPeer(t *testing.T) {
+	bigTS, pullTS := httptest.NewUnstartedServer(nil), httptest.NewUnstartedServer(nil)
+	bigURL := "http://" + bigTS.Listener.Addr().String()
+	pullURL := "http://" + pullTS.Listener.Addr().String()
+	node := func(ts *httptest.Server, self string, entries int) *Server {
+		topo, err := cluster.NewTopology([]string{bigURL, pullURL}, self)
+		if err != nil {
+			t.Fatal(err)
 		}
-		bodies = append(bodies, b)
+		s := New(Options{CacheEntries: entries, Cluster: &ClusterConfig{Topology: topo}})
+		ts.Config.Handler = s
+		ts.Start()
+		t.Cleanup(ts.Close)
+		return s
+	}
+	big := node(bigTS, bigURL, 4096)
+	puller := node(pullTS, pullURL, 0)
+
+	const held = cluster.MaxDigestKeys + cluster.MaxDigestKeys/2
+	for i := 0; i < held; i++ {
+		var k cache.Key
+		binary.LittleEndian.PutUint64(k[:], uint64(i))
+		big.cache.Put(k, []byte(`{"entry":true}`))
+	}
+	if n := big.cache.Len(); n <= cluster.MaxDigestKeys {
+		t.Fatalf("peer holds %d entries, want more than the bound %d", n, cluster.MaxDigestKeys)
 	}
 
-	resp, raw := get(t, ts, cluster.SnapshotPath)
-	if resp.StatusCode != http.StatusOK {
-		t.Fatalf("snapshot: status %d", resp.StatusCode)
-	}
-	entries, err := cluster.DecodeSnapshot(bytes.NewReader(raw), 16, 1<<20)
+	// Two nodes, default R=2: the puller replicates every key, so the
+	// whole digest is its want-list.
+	n, err := puller.SyncOnce(context.Background())
 	if err != nil {
-		t.Fatalf("snapshot does not decode: %v", err)
+		t.Fatalf("sync against an over-bound peer: %v", err)
 	}
-	if len(entries) != len(bodies) {
-		t.Fatalf("snapshot has %d entries, want %d", len(entries), len(bodies))
-	}
-	for _, e := range entries {
-		found := false
-		for _, b := range bodies {
-			if bytes.Equal(e.Body, b) {
-				found = true
-				break
-			}
-		}
-		if !found {
-			t.Fatalf("snapshot entry body not among served responses: %s", e.Body)
-		}
-	}
-	if s.Metrics().Cluster.SnapshotsServed != 1 {
-		t.Fatalf("snapshots_served = %d, want 1", s.Metrics().Cluster.SnapshotsServed)
+	if n == 0 || n > cluster.MaxDigestKeys {
+		t.Fatalf("sync pulled %d entries, want 1..%d", n, cluster.MaxDigestKeys)
 	}
 }
 
-// TestSingleNodeHasNoClusterSurface: without a cluster config the
-// snapshot route does not exist and metrics carry no cluster section —
-// single-node deployments keep exactly the old surface.
+// TestSingleNodeHasNoClusterSurface: without a cluster config the peer
+// routes do not exist and metrics carry no cluster section — single-node
+// deployments keep exactly the old surface.
 func TestSingleNodeHasNoClusterSurface(t *testing.T) {
 	s, ts := newTestServer(t, Options{})
-	resp, _ := get(t, ts, cluster.SnapshotPath)
+	resp, _ := get(t, ts, cluster.DigestPath)
 	if resp.StatusCode == http.StatusOK {
-		t.Fatal("snapshot endpoint exposed in single-node mode")
+		t.Fatal("digest endpoint exposed in single-node mode")
 	}
 	if s.Metrics().Cluster != nil {
 		t.Fatal("metrics carry a cluster section in single-node mode")

@@ -89,9 +89,9 @@ type Options struct {
 	// discards them.
 	Logger *log.Logger
 	// Cluster enables peer-aware serving: consistent-hash ownership of
-	// the canonical key space across a static fleet, with owner
-	// forwarding, snapshot warm-up and local-solve degradation. nil (the
-	// default) serves single-node with zero overhead on the hot path.
+	// the canonical key space across a fleet, with owner forwarding,
+	// anti-entropy warm-up and local-solve degradation. nil (the default)
+	// serves single-node with zero overhead on the hot path.
 	Cluster *ClusterConfig
 }
 
@@ -180,7 +180,6 @@ func New(opts Options) *Server {
 	mux.HandleFunc("GET /healthz", s.handleHealthz)
 	mux.HandleFunc("GET /metrics", s.handleMetrics)
 	if s.peers != nil {
-		mux.HandleFunc("GET "+cluster.SnapshotPath, s.handleSnapshot)
 		mux.HandleFunc("GET "+cluster.MembersPath, s.handleMembers)
 		mux.HandleFunc("POST "+cluster.JoinPath, s.handleJoin)
 		mux.HandleFunc("GET "+cluster.DigestPath, s.handleDigest)

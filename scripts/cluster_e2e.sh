@@ -65,10 +65,11 @@ pick_ports() {
 
 read -r P1 P2 P3 PCHAOS PREF <<<"$(pick_ports 5)"
 
-# Node 3 advertises the chaosproxy's address: every forward, hedge and
-# snapshot pull aimed at it crosses the fault schedule, while its own
-# client port P3 stays clean — faults are injected into the fleet's
-# internal traffic only, which is exactly what must never leak out.
+# Node 3 advertises the chaosproxy's address: every forward, hedge,
+# digest and entry pull aimed at it crosses the fault schedule, while
+# its own client port P3 stays clean — faults are injected into the
+# fleet's internal traffic only, which is exactly what must never leak
+# out.
 URL1="http://127.0.0.1:$P1"
 URL2="http://127.0.0.1:$P2"
 URL3="http://127.0.0.1:$PCHAOS"
@@ -168,7 +169,7 @@ wait "$NODE2_PID" 2>/dev/null || true
     -requests "$REQUESTS" -seed $((SEED + 1)) -keys 64 -zipf-s 1.2 \
     -stages 6 -procs 4 -workers 8
 
-echo "== phase 3: rolling restart — node 2 rejoins cold and warms from peers"
+echo "== phase 3: rolling restart — node 2 rejoins cold and warms through one anti-entropy round"
 # shellcheck disable=SC2046
 start_daemon "$workdir/node2-restarted.log" $(node_args "$P2" "$URL2")
 NODE2_PID=${pids[-1]}
@@ -182,7 +183,8 @@ wait_healthy "$URL2"
 echo "== phase 4: dynamic membership — drop the chaotic node from the peers file, SIGHUP the survivors"
 # Node 3 (and its proxy) leave the fleet for real: first the file, then
 # the signal, then the processes. The survivors swap to the 2-node
-# topology and hand off; no restart involved.
+# topology and hand off through one anti-entropy round; no restart
+# involved.
 printf '# e2e fleet, shrunk\n%s\n%s\n' "$URL1" "$URL2" >"$PEERS_FILE"
 kill -HUP "$NODE1_PID" "$NODE2_PID"
 for port in "$P1" "$P2"; do
@@ -268,7 +270,7 @@ echo "== survivor cluster metrics"
 for port in "$P1" "$P2" "$P4"; do
     echo "-- 127.0.0.1:$port"
     curl -sf "http://127.0.0.1:$port/metrics" | tr ',' '\n' |
-        grep -E 'forwarded|remote|hedged|fallback|peers|reloads|handoff|membership|gossip|joins|sync' || true
+        grep -E 'forwarded|remote|hedged|fallback|peers|reloads|warmed|membership|gossip|joins|sync' || true
 done
 echo "-- chaosproxy log"
 tail -2 "$workdir/chaosproxy.log" || true

@@ -38,9 +38,9 @@ type (
 	// available replica — hedging to the next when it is slow — and
 	// install the relayed bytes as a second-tier hit. Only when every
 	// replica is down does the node degrade to a local solve. Joining
-	// nodes warm from their peers' hottest entries, and
-	// Server.ReloadTopology swaps the fleet view at runtime with
-	// snapshot-driven key handoff.
+	// nodes warm up with one anti-entropy round, and
+	// Server.ReloadTopology swaps the fleet view at runtime and hands
+	// keys off with another.
 	ServerClusterConfig = service.ClusterConfig
 	// ClusterTopology is the fleet view: the full normalized peer list
 	// and this node's position in it. Build it with NewClusterTopology.
